@@ -1,7 +1,10 @@
-//! Top-k selection: introselect (ours) vs full sort, across dimensions.
+//! Top-k selection: the sampled-threshold kernel (ours) vs full sort,
+//! across dimensions.
 //!
 //! Top-k runs on every client for every round (Algorithm 3 line 17) and
-//! on the server (line 26); it must stay O(d).
+//! on the server (line 26); it must stay O(d). The kernel reads a stride
+//! sample for a conservative threshold, keeps the survivors of one filter
+//! pass over the delta, and selects the exact k-th key among them only.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use gluefl_tensor::{top_k_abs, top_k_abs_masked, BitMask, TopKScope};
@@ -26,7 +29,7 @@ fn bench_topk(c: &mut Criterion) {
     for d in [10_000usize, 100_000, 1_000_000] {
         let v = values(d);
         let k = d / 10;
-        group.bench_with_input(BenchmarkId::new("introselect", d), &v, |b, v| {
+        group.bench_with_input(BenchmarkId::new("sampled_threshold", d), &v, |b, v| {
             b.iter(|| black_box(top_k_abs(black_box(v), k)));
         });
         if d <= 100_000 {

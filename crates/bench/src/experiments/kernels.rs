@@ -115,9 +115,38 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
         });
     }
 
-    // --- pool-parallel top-k candidate pass (parallel builds only). ---
+    // --- top-k on a regeneration round (Algorithm 3 line 17 with the
+    // shared mask dropped): k = q·d = 20% over every position except the
+    // BN statistics, modelled as one 64-value run per 4096 positions. ---
+    if opts.kernel_selected("topk_regen_full_q") {
+        let stats = BitMask::from_indices(d, (0..d).filter(|i| i % 4096 < 64));
+        let k_regen = d / 5;
+        let expected = baseline_top_k_outside(&values, k_regen, &stats);
+        let mut scratch = TopKScratch::with_capacity(d);
+        let got = top_k_abs_masked_into(&values, k_regen, TopKScope::Outside(&stats), &mut scratch);
+        assert_eq!(
+            got,
+            expected.as_slice(),
+            "regeneration top-k kernels disagree"
+        );
+        let (baseline_ns, new_ns) = time_pair_ns(
+            reps,
+            || baseline_top_k_outside(&values, k_regen, &stats).len(),
+            || {
+                top_k_abs_masked_into(&values, k_regen, TopKScope::Outside(&stats), &mut scratch)
+                    .len()
+            },
+        );
+        entries.push(Entry {
+            name: "topk_regen_full_q",
+            baseline_ns,
+            new_ns,
+        });
+    }
+
+    // --- pool-parallel top-k filter pass (parallel builds only). ---
     // The All-scope selection over the full 1M-dim vector routes its
-    // candidate pass through the work-stealing pool; the baseline is the
+    // filter pass through the work-stealing pool; the baseline is the
     // same verbatim pre-refactor twin (an all-zeros Outside scope visits
     // every position).
     #[cfg(feature = "parallel")]
@@ -1591,6 +1620,7 @@ mod tests {
         run(&opts).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_kernels.json")).unwrap();
         assert!(json.contains("topk_outside_16pct_mask"));
+        assert!(json.contains("topk_regen_full_q"));
         assert!(json.contains("aggregate_masked_30_clients"));
         assert!(json.contains("masked_apply_20pct"));
         assert!(json.contains("masked_apply_rle"));
@@ -1632,6 +1662,7 @@ mod tests {
         assert!(json.contains("gemm_nn_eval_b1024"));
         assert!(json.contains("gemm_batch_clients"));
         assert!(!json.contains("topk_outside_16pct_mask"));
+        assert!(!json.contains("topk_regen_full_q"));
         assert!(!json.contains("aggregate_packed_topk"));
         assert!(!json.contains("local_train_step"));
         assert!(!json.contains("wire_encode_sparse"));

@@ -1,7 +1,7 @@
 //! `expt trace` — an instrumented simulator run that exports the
 //! telemetry stack end to end: per-round per-phase wall times to
-//! `trace.csv`, a self-time summary table, wire/pool counters bridged
-//! into one metrics snapshot (dumped as `trace.prom`), and the
+//! `trace.csv`, a self-time summary table, wire/pool/top-k counters
+//! bridged into one metrics snapshot (dumped as `trace.prom`), and the
 //! coverage check the acceptance criterion pins — measured phase spans
 //! must sum to ≥95% of each round's measured wall time.
 
@@ -13,10 +13,10 @@ use gluefl_ml::DatasetModel;
 use gluefl_telemetry::{Phase, Snapshot, Telemetry};
 use std::sync::Arc;
 
-/// Folds the process-wide wire-codec and thread-pool counters into the
-/// run's snapshot, so one exposition carries every layer. The inputs
-/// are deltas taken across the traced run — the statics are process
-/// lifetime and other code may have bumped them earlier.
+/// Folds the process-wide wire-codec, thread-pool and top-k counters
+/// into the run's snapshot, so one exposition carries every layer. The
+/// inputs are deltas taken across the traced run — the statics are
+/// process lifetime and other code may have bumped them earlier.
 fn bridge_process_stats(
     snap: &mut Snapshot,
     wire_before: (
@@ -24,6 +24,7 @@ fn bridge_process_stats(
         Vec<(&'static str, u64)>,
     ),
     pool_before: gluefl_pool::PoolStats,
+    topk_before: gluefl_tensor::TopKStats,
 ) {
     let count_of = |table: &[gluefl_wire::stats::FrameCount],
                     kind: gluefl_wire::FrameKind,
@@ -80,6 +81,22 @@ fn bridge_process_stats(
         &[],
         (pool.runs - pool_before.runs) as f64,
     );
+    let topk = gluefl_tensor::topk_stats();
+    for (name, now, before) in [
+        ("gluefl_topk_calls_total", topk.calls, topk_before.calls),
+        (
+            "gluefl_topk_fallbacks_total",
+            topk.fallbacks,
+            topk_before.fallbacks,
+        ),
+        (
+            "gluefl_topk_survivors_total",
+            topk.survivors,
+            topk_before.survivors,
+        ),
+    ] {
+        snap.push(name, &[], (now - before) as f64);
+    }
     snap.sort();
 }
 
@@ -110,6 +127,7 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
         gluefl_wire::stats::decode_errors(),
     );
     let pool_before = gluefl_pool::stats();
+    let topk_before = gluefl_tensor::topk_stats();
 
     let tel = Arc::new(Telemetry::new());
     let mut sim = Simulation::new(cfg).with_telemetry(Arc::clone(&tel));
@@ -153,9 +171,9 @@ pub fn run(opts: &ExptOpts) -> Result<(), String> {
     println!("\ntrace — GlueFL on FEMNIST/ShuffleNet, {rounds} rounds");
     println!("{}", table.render());
 
-    // --- Snapshot with wire + pool counters bridged in. ---
+    // --- Snapshot with wire, pool and top-k counters bridged in. ---
     let mut snap = tel.snapshot();
-    bridge_process_stats(&mut snap, wire_before, pool_before);
+    bridge_process_stats(&mut snap, wire_before, pool_before, topk_before);
     crate::write_csv(&opts.out_dir, "trace.prom", &snap.render_text());
 
     // --- Coverage: the spans must account for the measured wall time.

@@ -85,7 +85,7 @@ pub use bitmask::{BitMask, SetBits, ZeroBits};
 pub use masked::MaskedUpdate;
 pub use sparse::SparseUpdate;
 pub use topk::{
-    top_k_abs, top_k_abs_masked, top_k_abs_masked_into, top_k_abs_packed_into, TopKScope,
-    TopKScratch,
+    top_k_abs, top_k_abs_masked, top_k_abs_masked_into, top_k_abs_packed_into, topk_stats,
+    TopKScope, TopKScratch, TopKStats,
 };
 pub use wire::{WireCost, WireEncoding, BYTES_PER_VALUE};

@@ -117,27 +117,34 @@ proptest! {
 /// Full-sort reference for scoped top-k with the documented tie-break
 /// (magnitude descending, then index ascending; NaN below everything).
 fn scoped_topk_reference(values: &[f32], k: usize, keep: impl Fn(usize) -> bool) -> Vec<usize> {
+    top_of(&ranked(values, keep), k)
+}
+
+/// The scope's candidates ranked by the documented order: magnitude
+/// descending (NaN last), then index ascending.
+fn ranked(values: &[f32], keep: impl Fn(usize) -> bool) -> Vec<usize> {
+    let key = |i: usize| {
+        let m = values[i].abs();
+        if m.is_nan() {
+            -1.0
+        } else {
+            m
+        }
+    };
     let mut idx: Vec<usize> = (0..values.len()).filter(|&i| keep(i)).collect();
-    idx.sort_by(|&a, &b| {
-        let ma = if values[a].abs().is_nan() {
-            -1.0
-        } else {
-            values[a].abs()
-        };
-        let mb = if values[b].abs().is_nan() {
-            -1.0
-        } else {
-            values[b].abs()
-        };
-        mb.partial_cmp(&ma).unwrap().then(a.cmp(&b))
-    });
-    idx.truncate(k.min(idx.len()));
-    idx.sort_unstable();
+    idx.sort_by(|&a, &b| key(b).partial_cmp(&key(a)).unwrap().then(a.cmp(&b)));
     idx
 }
 
+/// The first `k` of a ranking, in increasing index order.
+fn top_of(ranking: &[usize], k: usize) -> Vec<usize> {
+    let mut top = ranking[..k.min(ranking.len())].to_vec();
+    top.sort_unstable();
+    top
+}
+
 proptest! {
-    /// The word-level two-pass kernel is exactly the full-sort reference,
+    /// The kernel is exactly the full-sort reference,
     /// for every scope, across dimensions, k, and mask densities.
     #[test]
     fn topk_kernel_matches_reference_across_scopes(
@@ -328,5 +335,124 @@ proptest! {
         };
         let want = top_k_abs_masked_into(&dense, k, scope, &mut s2).to_vec();
         prop_assert_eq!(got, want, "dim={} k={} scope={}", dim, k, scope_sel);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Past the sampling gate: inputs of 4096 or more coordinates pick their
+// filter threshold from a stride sample. Every shape below must still
+// select exactly what the full-sort reference selects.
+// ---------------------------------------------------------------------------
+
+/// A `dim`-length delta of one of five shapes: uniform, heavy-tailed,
+/// quantized to a few levels (heavy ties), special values (±0, NaN, ±inf)
+/// mixed into small ones, or large spikes on a lattice of `period`
+/// positions from `phase`, which puts the largest keys on a grid like the
+/// sample's strata. (Spikes at exactly the sampled positions, which force
+/// the filter to run again at the minimum key, are a unit test beside the
+/// kernel, where the positions are visible.)
+fn large_values(dim: usize, shape: u8, period: usize, phase: usize, seed: u64) -> Vec<f32> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..dim)
+        .map(|i| match shape {
+            0 => rng.gen_range(-1.0f32..1.0),
+            1 => rng.gen_range(-1.0f32..1.0) * rng.gen_range(-4.0f32..4.0).exp(),
+            2 => rng.gen_range(-3i32..4) as f32 * 0.25,
+            3 => match rng.gen_range(0..10) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::NAN,
+                3 => f32::INFINITY,
+                4 => f32::NEG_INFINITY,
+                _ => rng.gen_range(-1.0f32..1.0),
+            },
+            _ if i % period == phase % period => 1.0e6,
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+        .collect()
+}
+
+proptest! {
+    /// The sampled-threshold kernel equals the full-sort reference on
+    /// every scope, shape and `k ∈ {0, 1, n/25, n/4, n−1, n, n+7}`.
+    #[test]
+    fn topk_matches_reference_past_the_sampling_gate(
+        dim in 4096usize..12_000,
+        shape in 0u8..5,
+        period in 7usize..10,
+        phase in 0usize..9,
+        density in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        use gluefl_tensor::{top_k_abs_masked_into, TopKScratch};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let v = large_values(dim, shape, period, phase, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let mask = BitMask::from_indices(dim, (0..dim).filter(|_| rng.gen_bool(density)));
+        let mut scratch = TopKScratch::new();
+        for (name, scope) in [
+            ("all", TopKScope::All),
+            ("inside", TopKScope::Inside(&mask)),
+            ("outside", TopKScope::Outside(&mask)),
+        ] {
+            let ranking = match scope {
+                TopKScope::All => ranked(&v, |_| true),
+                TopKScope::Inside(m) => ranked(&v, |i| m.get(i)),
+                TopKScope::Outside(m) => ranked(&v, |i| !m.get(i)),
+            };
+            let n = ranking.len();
+            for k in [0, 1, n / 25, n / 4, n.saturating_sub(1), n, n + 7] {
+                let got = top_k_abs_masked_into(&v, k, scope, &mut scratch);
+                prop_assert_eq!(
+                    got,
+                    top_of(&ranking, k).as_slice(),
+                    "dim={} shape={} scope={} k={}", dim, shape, name, k
+                );
+            }
+        }
+    }
+
+    /// Past the sampling gate the packed kernel still equals its dense
+    /// twin, on every scope and shape, including supports too sparse for
+    /// `k` (the zero and NaN fill-ups).
+    #[test]
+    fn packed_top_k_matches_dense_twin_past_the_sampling_gate(
+        dim in 4096usize..12_000,
+        shape in 0u8..5,
+        support_density in 0.0f64..1.0,
+        scope_density in 0.0f64..1.0,
+        seed in any::<u64>(),
+    ) {
+        use gluefl_tensor::{top_k_abs_masked_into, top_k_abs_packed_into, TopKScratch};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let all = large_values(dim, shape, 8, 4, seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let support = BitMask::from_indices(dim, (0..dim).filter(|_| rng.gen_bool(support_density)));
+        let scope_mask = BitMask::from_indices(dim, (0..dim).filter(|_| rng.gen_bool(scope_density)));
+        let packed: Vec<f32> = support.iter_ones().map(|i| all[i]).collect();
+        let mut dense = vec![0.0f32; dim];
+        support.for_each_one(|i| dense[i] = all[i]);
+        let mut s1 = TopKScratch::new();
+        let mut s2 = TopKScratch::new();
+        for (name, scope) in [
+            ("all", TopKScope::All),
+            ("inside", TopKScope::Inside(&scope_mask)),
+            ("outside", TopKScope::Outside(&scope_mask)),
+        ] {
+            let n = match scope {
+                TopKScope::All => dim,
+                TopKScope::Inside(m) => m.count_ones(),
+                TopKScope::Outside(m) => dim - m.count_ones(),
+            };
+            for k in [0, 1, n / 25, n / 4, n.saturating_sub(1), n, n + 7] {
+                let got = top_k_abs_packed_into(&support, &packed, k, scope, &mut s1).to_vec();
+                let want = top_k_abs_masked_into(&dense, k, scope, &mut s2).to_vec();
+                prop_assert_eq!(got, want, "dim={} shape={} scope={} k={}", dim, shape, name, k);
+            }
+        }
     }
 }
