@@ -1,5 +1,7 @@
 //! Simulation configuration.
 
+use crate::strategies::Group;
+use gluefl_compress::stc::keep_count;
 use gluefl_compress::{ApfConfig, CompensationMode};
 use gluefl_data::{DatasetConfig, DatasetProfile};
 use gluefl_ml::{DatasetModel, ModelProfile};
@@ -48,6 +50,44 @@ impl GlueFlParams {
             compensation: CompensationMode::Rescaled,
             equal_weights: false,
         }
+    }
+
+    /// Whether `round` regenerates the shared mask (§3.3): every
+    /// `I`-th round after round 0, never under `I = ∞`.
+    #[must_use]
+    pub fn is_regen_round(&self, round: u32) -> bool {
+        self.regen_interval
+            .is_some_and(|i| round > 0 && round.is_multiple_of(i))
+    }
+
+    /// Size of a unique top-k this round over `trainable` positions:
+    /// `q − q_shr` normally, the full `q` on regeneration rounds (where
+    /// the shared mask is unused).
+    #[must_use]
+    pub fn unique_keep(&self, round: u32, trainable: usize) -> usize {
+        if self.is_regen_round(round) {
+            keep_count(trainable, self.q)
+        } else {
+            keep_count(trainable, self.q - self.q_shr)
+        }
+    }
+
+    /// The aggregation weight of a client with importance weight `p_i`
+    /// drawn from `group`, in a population of `n` with round size `k`:
+    /// the inverse-propensity factor of its group times `p_i` (Theorem
+    /// 1), or the biased `1/K` of the Equal arm. Error compensation
+    /// re-scales residuals by the same weight (Equation 7).
+    #[must_use]
+    pub fn propensity_weight(&self, n: usize, k: usize, p_i: f64, group: Group) -> f64 {
+        if self.equal_weights {
+            return 1.0 / k as f64;
+        }
+        let w = gluefl_sampling::sticky_weights(n, self.sticky_group, self.sticky_draw, k);
+        let factor = match group {
+            Group::Sticky => w.sticky_factor,
+            Group::Fresh => w.fresh_factor,
+        };
+        factor * p_i
     }
 }
 

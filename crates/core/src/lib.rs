@@ -16,6 +16,12 @@
 //! | [`strategies::ApfStrategy`] | uniform | adaptive parameter freezing |
 //! | [`strategies::GlueFlStrategy`] | sticky (§3.1) | mask shifting (§3.2) + regeneration + REC (§3.3) |
 //!
+//! Each strategy has a server half ([`strategies::Strategy`]: sampling,
+//! aggregation, masks) and a client half ([`ClientCodec`]: compression
+//! and error compensation). Both round drivers — the in-process
+//! [`Simulation`] and the socket transport — build their state through
+//! [`RunSetup`]/[`ServerSetup`] and compress through the same codec.
+//!
 //! Each round's aggregate crosses the strategy seam as a [`MaskedUpdate`]
 //! (support mask + packed values; see the [`strategies::Strategy`] docs
 //! for the contract), which the simulator applies with word-level masked
@@ -50,9 +56,11 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+pub mod codec;
 mod config;
 mod metrics;
 pub mod scratch;
+mod setup;
 mod simulator;
 mod staleness;
 pub mod strategies;
@@ -60,11 +68,13 @@ pub mod stream;
 pub mod theory;
 pub mod wire_link;
 
+pub use codec::ClientCodec;
 pub use config::{AvailabilityConfig, GlueFlParams, SimConfig, StrategyConfig};
 pub use gluefl_tensor::MaskedUpdate;
 pub use gluefl_wire::Codec as WireCodec;
 pub use gluefl_wire::{IndexLayout, WirePolicy};
 pub use metrics::{CumulativeMetrics, RoundRecord, RunResult};
 pub use scratch::{ScratchPool, TrainSlot};
+pub use setup::{keep_fastest, RunSetup, ServerSetup};
 pub use simulator::{batch_local_train_into, local_train_into, run_strategy, Simulation};
 pub use staleness::StalenessTracker;

@@ -1,5 +1,6 @@
 //! Per-round and per-run metrics, mirroring the paper's Table 2 columns.
 
+use gluefl_net::timing::ClientRoundTime;
 use gluefl_telemetry::{Phase, PHASE_COUNT};
 
 /// One round's measurements.
@@ -86,6 +87,22 @@ impl RoundRecord {
     #[must_use]
     pub fn measured_phase_total(&self) -> u64 {
         self.phase_nanos.iter().sum()
+    }
+
+    /// Fills the round's modeled times from the kept clients
+    /// (`times[i]` for each `i` in `kept`): the round lasts as long as
+    /// the slowest kept client, and each part is summarised by its
+    /// slowest and mean value.
+    pub fn set_kept_times(&mut self, times: &[ClientRoundTime], kept: &[usize]) {
+        let kept_times = || kept.iter().map(|&i| times[i]);
+        self.round_secs = kept_times().map(|t| t.total_secs()).fold(0.0, f64::max);
+        self.slowest_download_secs = kept_times().map(|t| t.download_secs).fold(0.0, f64::max);
+        self.slowest_upload_secs = kept_times().map(|t| t.upload_secs).fold(0.0, f64::max);
+        self.slowest_compute_secs = kept_times().map(|t| t.compute_secs).fold(0.0, f64::max);
+        let kn = kept.len().max(1) as f64;
+        self.mean_download_secs = kept_times().map(|t| t.download_secs).sum::<f64>() / kn;
+        self.mean_upload_secs = kept_times().map(|t| t.upload_secs).sum::<f64>() / kn;
+        self.mean_compute_secs = kept_times().map(|t| t.compute_secs).sum::<f64>() / kn;
     }
 }
 

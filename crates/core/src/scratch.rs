@@ -1,7 +1,7 @@
 //! Per-simulation scratch buffers for the round hot path.
 //!
 //! One [`ScratchPool`] is owned by each [`crate::Simulation`] and threaded
-//! through [`crate::strategies::Strategy::compress`] and
+//! through [`crate::codec::ClientCodec::compress`] and
 //! [`crate::strategies::Strategy::aggregate`], so the per-round kernels
 //! (top-k selection, dense accumulation, sparse extraction, mask algebra,
 //! residual bookkeeping) reuse the same allocations round after round.

@@ -33,21 +33,20 @@
 //! to serial execution because every client's RNG is derived from
 //! `(seed, round, client)` rather than thread schedule.
 
+use crate::codec::ClientCodec;
 use crate::config::{SimConfig, StrategyConfig};
 use crate::metrics::{RoundRecord, RunResult};
 use crate::scratch::{ScratchPool, TrainSlot};
+use crate::setup::{keep_fastest, RunSetup, ServerSetup};
 use crate::staleness::StalenessTracker;
-use crate::strategies::{build_strategy, Group, Strategy, Upload};
+use crate::strategies::{Group, Upload};
 use crate::wire_link;
 use gluefl_data::SyntheticFlDataset;
 use gluefl_ml::{BatchTrainScratch, Mlp, MlpTopology};
-use gluefl_net::timing::{fastest, seconds_for_bytes, ClientRoundTime};
-use gluefl_net::{LazyAvailability, LinkCache, SpeedCache};
-use gluefl_sampling::AllOnline;
+use gluefl_net::timing::ClientRoundTime;
 use gluefl_telemetry::{EventKind, Phase, Telemetry, PHASE_COUNT};
-use gluefl_tensor::rng::{derive_seed, seeded_rng};
+use gluefl_tensor::rng::derive_seed;
 use gluefl_tensor::vecops;
-use gluefl_tensor::wire::HEADER_BYTES;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -102,28 +101,14 @@ fn commit_phases(tel: &Option<SimRecorder>, round: u32, rec: &RoundRecord) {
 /// A configured, running federated-learning simulation.
 pub struct Simulation {
     cfg: SimConfig,
-    data: SyntheticFlDataset,
-    model: Mlp,
-    strategy: Box<dyn Strategy>,
-    staleness: StalenessTracker,
-    /// On-demand per-client links; only participants are ever sampled.
-    links: LinkCache,
-    /// On-demand per-client compute speeds.
-    speeds: SpeedCache,
-    /// Lazy availability process; `None` means every client is always
-    /// online. Clients are materialised on first touch, so the resident
-    /// state is O(touched clients), not O(N).
-    availability: Option<LazyAvailability>,
-    /// Flat indices of BN-statistic positions.
-    stats_positions: Vec<usize>,
-    /// Mask of trainable positions (complement of the BN statistics).
-    trainable_mask: gluefl_tensor::BitMask,
-    /// Multiplier applied to byte counts when computing transfer *times*
-    /// (1.0 unless `cfg.paper_time_model`).
-    time_byte_factor: f64,
-    /// Parameter count used for compute-time estimation.
-    time_params: usize,
-    rng: StdRng,
+    /// Dataset, global model, and BN-statistic layout.
+    setup: RunSetup,
+    /// Strategy, network/device/availability models, staleness, RNG.
+    srv: ServerSetup,
+    /// One codec compresses for every client: its residual bank is
+    /// keyed by client id, so it holds the rows a socket client's own
+    /// codec would.
+    codec: ClientCodec,
     round: u32,
     /// Scratch buffers threaded through the strategy seam; makes the
     /// per-round hot path allocation-free in steady state.
@@ -151,65 +136,14 @@ impl Simulation {
     /// speeds, masks) derives deterministically from `cfg.seed`.
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
-        let data =
-            SyntheticFlDataset::generate(cfg.dataset.clone(), derive_seed(cfg.seed, "data", 0));
-        let n = data.num_clients();
-        let mut init_rng = seeded_rng(cfg.seed, "model-init", 0);
-        let model = cfg
-            .model
-            .build(data.feature_dim(), data.classes(), &mut init_rng);
-        let dim = model.num_params();
-        let layout = model.layout();
-        let trainable = layout.trainable_count();
-        let trainable_mask = layout.trainable_mask();
-        let stats_excluded = trainable_mask.not();
-        let stats_positions: Vec<usize> = stats_excluded.iter_ones().collect();
-
-        let mut strat_rng = seeded_rng(cfg.seed, "strategy", 0);
-        let strategy = build_strategy(
-            &cfg,
-            data.client_weights(),
-            trainable,
-            dim,
-            stats_excluded,
-            &mut strat_rng,
-        );
-
-        let links = LinkCache::new(cfg.network, derive_seed(cfg.seed, "network", 0));
-        let speeds = SpeedCache::new(cfg.device, derive_seed(cfg.seed, "devices", 0));
-        let availability = cfg.availability.map(|a| {
-            LazyAvailability::new(
-                n,
-                a.online_fraction,
-                a.mean_session_rounds,
-                derive_seed(cfg.seed, "availability", 0),
-            )
-        });
-
-        let staleness = StalenessTracker::new(dim, n);
-        let rng = seeded_rng(cfg.seed, "simulation", 0);
-        let (time_byte_factor, time_params) = if cfg.paper_time_model {
-            (
-                cfg.model.paper_scale_factor(dim),
-                cfg.model.reference_params as usize,
-            )
-        } else {
-            (1.0, dim)
-        };
+        let setup = RunSetup::new(&cfg);
+        let srv = ServerSetup::new(&cfg, &setup);
+        let codec = setup.codec(&cfg);
         Self {
             cfg,
-            data,
-            model,
-            strategy,
-            staleness,
-            links,
-            speeds,
-            availability,
-            stats_positions,
-            trainable_mask,
-            time_byte_factor,
-            time_params,
-            rng,
+            setup,
+            srv,
+            codec,
             round: 0,
             scratch: ScratchPool::new(),
             global_buf: Vec::new(),
@@ -248,27 +182,18 @@ impl Simulation {
         self.tel.as_ref().map(|t| &t.hub)
     }
 
-    /// Serializes the round's reference broadcast — one dense full-model
-    /// frame plus the strategy's mask frame — through a pooled arena and
-    /// returns the measured byte count. Model weights always travel at
-    /// full F32 precision (clients must train on the exact global
-    /// weights the download accounting assumes); the mask frame may use
-    /// the RLE layout when the configured policy admits it.
+    /// Serializes the round's reference broadcast
+    /// ([`wire_link::encode_broadcast`]) through a pooled arena and
+    /// returns the measured byte count.
     fn measure_broadcast(&mut self, round: u32) -> u64 {
-        let writer = gluefl_wire::FrameWriter::new(gluefl_wire::WirePolicy {
-            codec: gluefl_wire::Codec::F32,
-            ..self.cfg.wire
-        });
         let mut bbuf = self.scratch.take_bytes();
-        let mut measured = writer.dense(
-            &mut bbuf,
+        let measured = wire_link::encode_broadcast(
+            &self.cfg.wire,
             round,
-            gluefl_wire::Rounding::Nearest,
-            self.model.params(),
+            self.setup.model.params(),
+            self.srv.strategy.round_mask(round),
+            &mut bbuf,
         ) as u64;
-        if let Some(mask) = self.strategy.round_mask(round) {
-            measured += writer.mask(&mut bbuf, round, mask) as u64;
-        }
         debug_assert!(gluefl_wire::decode_frame_prefix(&bbuf).is_ok());
         self.scratch.put_bytes(bbuf);
         measured
@@ -283,19 +208,19 @@ impl Simulation {
     /// The current global model.
     #[must_use]
     pub fn model(&self) -> &Mlp {
-        &self.model
+        &self.setup.model
     }
 
     /// The dataset in use.
     #[must_use]
     pub fn data(&self) -> &SyntheticFlDataset {
-        &self.data
+        &self.setup.data
     }
 
     /// The strategy's display name.
     #[must_use]
     pub fn strategy_name(&self) -> String {
-        self.strategy.name()
+        self.srv.strategy.name()
     }
 
     /// The staleness tracker (position change history + client versions).
@@ -304,7 +229,7 @@ impl Simulation {
     /// skipped `r` rounds have to download?" (Figure 2b).
     #[must_use]
     pub fn staleness(&self) -> &StalenessTracker {
-        &self.staleness
+        &self.srv.staleness
     }
 
     /// Runs all configured rounds and returns the collected results.
@@ -313,7 +238,7 @@ impl Simulation {
         for _ in 0..self.cfg.rounds {
             records.push(self.step());
         }
-        RunResult::from_rounds(self.strategy.name(), records, self.cfg.target_accuracy)
+        RunResult::from_rounds(self.srv.strategy.name(), records, self.cfg.target_accuracy)
     }
 
     /// Executes one round and returns its record.
@@ -332,15 +257,7 @@ impl Simulation {
         // about exactly the candidates it considers, each answered by
         // advancing that client's private session trajectory to `round`.
         // No per-round O(N) scan happens anywhere.
-        let plan = match &mut self.availability {
-            Some(av) => {
-                let mut query = |id: usize| av.is_online(id, round);
-                self.strategy.plan_round(round, &mut self.rng, &mut query)
-            }
-            None => self
-                .strategy
-                .plan_round(round, &mut self.rng, &mut AllOnline),
-        };
+        let plan = self.srv.plan_round(round, |_| true);
         let mut invited = std::mem::take(&mut self.invited_buf);
         invited.clear();
         invited.extend(plan.invited());
@@ -355,20 +272,14 @@ impl Simulation {
             rec.phase_nanos = phase_ns;
             rec.step_nanos = tick(&tel).saturating_sub(step_start);
             commit_phases(&tel, round, &rec);
-            self.maybe_eval(round, &mut rec);
+            self.setup
+                .eval_on_schedule(&self.cfg, &mut self.scratch, round, &mut rec);
             return rec;
         }
 
         // --- Download accounting (every invited client syncs). ---
         let broadcast_start = tick(&tel);
-        let mask_bytes = self.strategy.mask_download_bytes(round);
-        let download_bytes: Vec<u64> = invited
-            .iter()
-            .map(|&(id, _)| self.staleness.download_bytes(id) + mask_bytes)
-            .collect();
-        for &(id, _) in &invited {
-            self.staleness.mark_synced(id);
-        }
+        let download_bytes = self.srv.sync_invited(round, &invited);
 
         // --- Measured broadcast (wire layer). ---
         // One dense full-model frame plus the round's mask frame (when
@@ -397,8 +308,8 @@ impl Simulation {
                     let measured = self.measure_broadcast(round);
                     debug_assert_eq!(
                         measured,
-                        gluefl_tensor::WireCost::dense(self.model.num_params()).total_bytes()
-                            + mask_bytes,
+                        gluefl_tensor::WireCost::dense(self.setup.model.num_params()).total_bytes()
+                            + self.srv.strategy.mask_download_bytes(round),
                         "measured broadcast diverged from the analytic download model"
                     );
                     self.wire_broadcast_len = Some(measured);
@@ -416,13 +327,13 @@ impl Simulation {
         // masked-subtraction kernel) and the BN-statistic drift, saved
         // aside for the Appendix-D mean.
         let lr = self.cfg.lr_at_round(round);
-        let dim = self.model.num_params();
-        let stats_len = self.stats_positions.len();
+        let dim = self.setup.model.num_params();
+        let stats_len = self.setup.stats_positions.len();
         self.stats_saved.clear();
         self.stats_saved.resize(invited.len() * stats_len, 0.0);
         let mut global = std::mem::take(&mut self.global_buf);
         global.clear();
-        global.extend_from_slice(self.model.params());
+        global.extend_from_slice(self.setup.model.params());
         let mut stats_saved = std::mem::take(&mut self.stats_saved);
         let train_start = tick(&tel);
         let mut deltas = self.train_invited(&invited, &global, lr, round, &mut stats_saved);
@@ -448,13 +359,7 @@ impl Simulation {
         // lossy codecs and entropy layouts shrink the measured bytes —
         // and the prediction stays exact for them too, because
         // `encoded_len` prices the upload's actual index pattern.
-        let stats_upload_bytes = stats_len as u64 * 4 + HEADER_BYTES;
         let policy = self.cfg.wire;
-        let codec = policy.codec;
-        let writer = gluefl_wire::FrameWriter::new(policy);
-        // BN-statistic frames are mask-aligned (no position section), so
-        // their length is shape-only under every policy.
-        let stats_frame_len = writer.known_mask_len(stats_len);
         let mut uploads: Vec<Option<Upload>> = Vec::with_capacity(invited.len());
         let mut wire_lens: Vec<u64> = Vec::with_capacity(invited.len());
         let mut times: Vec<ClientRoundTime> = Vec::with_capacity(invited.len());
@@ -470,13 +375,18 @@ impl Simulation {
                 let norm2: f64 = delta.iter().map(|&v| f64::from(v) * f64::from(v)).sum();
                 t.update_norm_milli.observe((norm2.sqrt() * 1e3) as u64);
             }
-            let upload = self
-                .strategy
-                .compress(round, id, group, delta, &mut self.scratch);
-            let analytic_up = upload.bytes() + stats_upload_bytes;
-            let wire_up = wire_link::encoded_len(&upload, &policy) + stats_frame_len;
+            let upload = self.codec.compress(
+                round,
+                id,
+                group,
+                delta,
+                self.srv.strategy.round_mask(round),
+                &mut self.scratch,
+            );
+            let (analytic_up, wire_up) = wire_link::offer_bytes(&upload, &policy, stats_len);
             debug_assert!(
-                !(policy.is_legacy() && codec == gluefl_wire::Codec::F32) || wire_up == analytic_up,
+                !(policy.is_legacy() && policy.codec == gluefl_wire::Codec::F32)
+                    || wire_up == analytic_up,
                 "legacy-F32 predicted bytes {wire_up} diverged from analytic {analytic_up}"
             );
             if let Some(t) = &tel {
@@ -487,18 +397,11 @@ impl Simulation {
 
             up_bytes_total += analytic_up;
             wire_up_total += wire_up;
-            let link = self.links.get(id);
-            let t_down = (download_bytes[i] as f64 * self.time_byte_factor) as u64;
-            let t_up = (wire_up as f64 * self.time_byte_factor) as u64;
-            times.push(ClientRoundTime {
-                download_secs: seconds_for_bytes(t_down, link.down_mbps),
-                compute_secs: self.cfg.local_steps as f64
-                    * self
-                        .cfg
-                        .device
-                        .step_seconds(self.time_params, self.speeds.get(id)),
-                upload_secs: seconds_for_bytes(t_up, link.up_mbps),
-            });
+            let mut time = self
+                .srv
+                .download_compute_time(&self.cfg, id, download_bytes[i]);
+            time.upload_secs = self.srv.upload_secs(id, wire_up);
+            times.push(time);
         }
         phase_ns[Phase::Encode.index()] += tick(&tel).saturating_sub(compress_start);
         rec.down_bytes = download_bytes.iter().sum();
@@ -506,15 +409,7 @@ impl Simulation {
         rec.wire_up_bytes = wire_up_total;
 
         // --- Keep the fastest per group (over-commitment, §5.6). ---
-        let sticky_n = plan.sticky_invites.len();
-        let (sticky_times, fresh_times) = times.split_at(sticky_n);
-        let kept_sticky_local = fastest(sticky_times, plan.keep_sticky);
-        let kept_fresh_local = fastest(fresh_times, plan.keep_fresh);
-        let kept_idx: Vec<usize> = kept_sticky_local
-            .iter()
-            .copied()
-            .chain(kept_fresh_local.iter().map(|&i| i + sticky_n))
-            .collect();
+        let kept_idx = keep_fastest(&plan, &times);
         rec.kept = kept_idx.len();
 
         // --- Serialize, deserialize, and fold kept uploads as a stream. ---
@@ -537,7 +432,7 @@ impl Simulation {
         let mut gate = crate::stream::StreamingAggregator::begin(
             round,
             &kept_pairs,
-            &mut *self.strategy,
+            &mut *self.srv.strategy,
             &mut self.scratch,
         );
         for &i in &kept_idx {
@@ -545,41 +440,31 @@ impl Simulation {
             let upload = uploads[i].take().expect("kept indices are unique");
             let encode_start = tick(&tel);
             let mut wbuf = self.scratch.take_bytes();
-            let client_key = (u64::from(round) << 32) | id as u64;
-            // Lossy codecs report what each frame actually shipped; the
-            // strategy folds the codec residual into the client's
+            // Lossy codecs report what each frame actually shipped, and
+            // the client codec folds the loss into that client's
             // error-compensation bank. Only kept uploads — the only ones
             // serialized — feed back, on both this driver and the real
             // transport, so loopback runs stay bit-identical.
-            let strategy = &mut self.strategy;
-            let ulen = wire_link::encode_upload_with_feedback(
+            let codec = &mut self.codec;
+            let len = wire_link::encode_kept_upload(
                 &upload,
                 round,
+                id,
+                self.cfg.seed,
                 &policy,
-                derive_seed(self.cfg.seed, "wire-quant", client_key),
-                &mut wbuf,
-                &mut |ix, sent, shipped| strategy.fold_codec_error(id, ix, sent, shipped),
-            );
-            let slen = writer.known_mask(
-                &mut wbuf,
-                round,
-                wire_link::rounding_for(
-                    codec,
-                    derive_seed(self.cfg.seed, "wire-quant-stats", client_key),
-                ),
-                dim,
                 &self.stats_saved[i * stats_len..(i + 1) * stats_len],
+                &mut wbuf,
+                &mut |ix, sent, shipped| codec.fold_codec_error(id, ix, sent, shipped),
             );
             debug_assert_eq!(
-                (ulen + slen) as u64,
-                wire_lens[i],
+                len as u64, wire_lens[i],
                 "encoded frame bytes diverged from the predicted length"
             );
             self.scratch.reclaim_upload(upload);
             let decode_start = tick(&tel);
             let (decoded, stats_frame) = wire_link::decode_upload_with_stats(
                 &wbuf,
-                self.strategy.round_mask(round),
+                self.srv.strategy.round_mask(round),
                 &mut self.scratch,
             )
             .expect("in-process wire round-trip cannot corrupt");
@@ -588,7 +473,7 @@ impl Simulation {
             self.stats_saved[i * stats_len..(i + 1) * stats_len].copy_from_slice(&stats_back);
             self.scratch.put(stats_back);
             let fold_start = tick(&tel);
-            gate.accept(&mut *self.strategy, id, decoded, &mut self.scratch)
+            gate.accept(&mut *self.srv.strategy, id, decoded, &mut self.scratch)
                 .expect("keep set admits each kept client exactly once");
             let fold_end = tick(&tel);
             phase_ns[Phase::Encode.index()] += decode_start.saturating_sub(encode_start);
@@ -597,7 +482,7 @@ impl Simulation {
             self.scratch.put_bytes(wbuf);
         }
         let topk_start = tick(&tel);
-        let update = gate.finish(&mut *self.strategy, &mut self.scratch);
+        let update = gate.finish(&mut *self.srv.strategy, &mut self.scratch);
         phase_ns[Phase::TopK.index()] = tick(&tel).saturating_sub(topk_start);
 
         // Dropped clients' uploads were measured (predicted) above but
@@ -606,61 +491,27 @@ impl Simulation {
             self.scratch.reclaim_upload(upload);
         }
 
-        // --- Apply the masked update and record changed positions. ---
-        // A masking strategy's update covers O(q·d) positions; the
-        // word-level scatter / masked AXPY touches only those, and the
-        // changed-position scan walks the mask instead of the dense
-        // vector. Per covered position the arithmetic is the same single
-        // `+=` as the old dense walk — bit-identical trajectories.
-        let apply_start = tick(&tel);
-        update.add_to(self.model.params_mut());
-        let mut changed = std::mem::take(&mut self.changed_buf);
-        changed.clear();
-        update.for_each_nonzero(|j, _| {
-            // Strategy contract: BN-statistic positions are uncovered or
-            // carry exact zeros — a nonzero here would double-apply with
-            // the Appendix-D mean below.
-            debug_assert!(
-                self.stats_positions.binary_search(&j).is_err(),
-                "strategy update has a nonzero value at BN-statistic position {j}"
-            );
-            changed.push(j);
-        });
-
-        // --- BatchNorm statistics: plain 1/K mean (Appendix D). ---
+        // --- Apply the masked update and the BN-statistic mean. ---
         // Stats positions are never covered by a masking strategy's mask
-        // (FedAvg's full mask covers them with exact zeros), so the means
-        // are added straight into the parameters.
-        if !kept_idx.is_empty() {
-            let inv_k = 1.0 / kept_idx.len() as f32;
-            let params = self.model.params_mut();
-            for (j, &p) in self.stats_positions.iter().enumerate() {
-                let mean: f32 = kept_idx
-                    .iter()
-                    .map(|&i| self.stats_saved[i * stats_len + j])
-                    .sum::<f32>()
-                    * inv_k;
-                params[p] += mean;
-                if mean != 0.0 {
-                    changed.push(p);
-                }
-            }
-        }
-        rec.changed_positions = changed.len();
-        self.staleness.record_update(changed.iter().copied());
-        self.changed_buf = changed;
-        self.scratch.put_update(update);
+        // (FedAvg's full mask covers them with exact zeros), so the
+        // Appendix-D means over the kept clients are added straight in.
+        let apply_start = tick(&tel);
+        let stats_rows: Vec<&[f32]> = kept_idx
+            .iter()
+            .map(|&i| &self.stats_saved[i * stats_len..(i + 1) * stats_len])
+            .collect();
+        rec.changed_positions = self.srv.apply_update(
+            &mut self.setup,
+            update,
+            &stats_rows,
+            &mut self.changed_buf,
+            &mut self.scratch,
+        );
         phase_ns[Phase::Apply.index()] = tick(&tel).saturating_sub(apply_start);
 
         // --- Post-round bookkeeping (sticky rebalance). ---
         let rebalance_start = tick(&tel);
-        let kept_sticky_ids: Vec<usize> = kept_sticky_local.iter().map(|&i| invited[i].0).collect();
-        let kept_fresh_ids: Vec<usize> = kept_fresh_local
-            .iter()
-            .map(|&i| invited[i + sticky_n].0)
-            .collect();
-        self.strategy
-            .finish_round(round, &mut self.rng, &kept_sticky_ids, &kept_fresh_ids);
+        self.srv.finish_round(round, &invited, &kept_idx);
         phase_ns[Phase::Rebalance.index()] = tick(&tel).saturating_sub(rebalance_start);
 
         // --- Recycle the per-round buffers. ---
@@ -668,49 +519,14 @@ impl Simulation {
         self.delta_bufs.append(&mut deltas);
         self.invited_buf = invited;
 
-        // --- Timing metrics over kept clients. ---
-        let kept_times: Vec<ClientRoundTime> = kept_idx.iter().map(|&i| times[i]).collect();
-        rec.round_secs = kept_times
-            .iter()
-            .map(ClientRoundTime::total_secs)
-            .fold(0.0, f64::max);
-        rec.slowest_download_secs = kept_times
-            .iter()
-            .map(|t| t.download_secs)
-            .fold(0.0, f64::max);
-        rec.slowest_upload_secs = kept_times.iter().map(|t| t.upload_secs).fold(0.0, f64::max);
-        rec.slowest_compute_secs = kept_times
-            .iter()
-            .map(|t| t.compute_secs)
-            .fold(0.0, f64::max);
-        let kn = kept_times.len().max(1) as f64;
-        rec.mean_download_secs = kept_times.iter().map(|t| t.download_secs).sum::<f64>() / kn;
-        rec.mean_upload_secs = kept_times.iter().map(|t| t.upload_secs).sum::<f64>() / kn;
-        rec.mean_compute_secs = kept_times.iter().map(|t| t.compute_secs).sum::<f64>() / kn;
+        rec.set_kept_times(&times, &kept_idx);
 
         rec.phase_nanos = phase_ns;
         rec.step_nanos = tick(&tel).saturating_sub(step_start);
         commit_phases(&tel, round, &rec);
-        self.maybe_eval(round, &mut rec);
+        self.setup
+            .eval_on_schedule(&self.cfg, &mut self.scratch, round, &mut rec);
         rec
-    }
-
-    fn maybe_eval(&mut self, round: u32, rec: &mut RoundRecord) {
-        let every = self.cfg.eval_every.max(1);
-        if (round + 1).is_multiple_of(every) || round + 1 == self.cfg.rounds {
-            // Evaluate through a pooled slot so eval rounds reuse warm
-            // forward buffers instead of building a fresh workspace. The
-            // forward pass is the same GEMM-backed kernel path training
-            // uses; at test-set batch sizes the `parallel` feature shards
-            // GEMM row blocks across threads inside the kernel
-            // (bit-identical to serial — rows never share an accumulator).
-            let mut slot = self.scratch.take_train_slot();
-            let (tx, ty) = self.data.test_set();
-            let m = self.model.evaluate_into(tx, ty, &mut slot.scratch);
-            self.scratch.put_train_slot(slot);
-            rec.accuracy = Some(if self.cfg.use_top5 { m.top5 } else { m.top1 });
-            rec.loss = Some(m.loss);
-        }
     }
 
     /// Number of local-training workers for `clients` invited clients:
@@ -746,8 +562,8 @@ impl Simulation {
         round: u32,
         stats_saved: &mut [f32],
     ) -> Vec<Vec<f32>> {
-        let dim = self.model.num_params();
-        let stats_len = self.stats_positions.len();
+        let dim = self.setup.model.num_params();
+        let stats_len = self.setup.stats_positions.len();
         assert_eq!(stats_saved.len(), invited.len() * stats_len);
         let tel = self.tel.clone();
         let threads = self.train_threads(invited.len());
@@ -763,10 +579,10 @@ impl Simulation {
             })
             .collect();
         let cfg = &self.cfg;
-        let data = &self.data;
-        let topo = self.model.topology();
-        let stats_positions = &self.stats_positions;
-        let trainable_mask = &self.trainable_mask;
+        let data = &self.setup.data;
+        let topo = self.setup.model.topology();
+        let stats_positions = &self.setup.stats_positions;
+        let trainable_mask = &self.setup.trainable_mask;
         let seed = cfg.seed;
         let worker = |&(id, _): &(usize, Group),
                       out: &mut [f32],
@@ -904,10 +720,10 @@ impl Simulation {
 impl std::fmt::Debug for Simulation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("strategy", &self.strategy.name())
+            .field("strategy", &self.srv.strategy.name())
             .field("round", &self.round)
-            .field("clients", &self.data.num_clients())
-            .field("dim", &self.model.num_params())
+            .field("clients", &self.setup.data.num_clients())
+            .field("dim", &self.setup.model.num_params())
             .finish()
     }
 }

@@ -6,7 +6,7 @@ use crate::aggregate::{accumulate_into, accumulate_weighted_values};
 use crate::scratch::ScratchPool;
 use gluefl_compress::{Apf, ApfConfig};
 use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
-use gluefl_tensor::{BitMask, MaskedUpdate, SparseUpdate};
+use gluefl_tensor::{BitMask, MaskedUpdate};
 use rand::rngs::StdRng;
 
 /// APF with uniform sampling: the server maintains a per-parameter freeze
@@ -26,7 +26,8 @@ pub struct ApfStrategy {
     weights: Vec<f64>,
     apf: Apf,
     /// Cached copy of [`Apf::active_mask`] for the current round
-    /// (refreshed after each observe, so `compress` never allocates).
+    /// (refreshed after each observe, so [`Strategy::round_mask`] lends
+    /// it without allocating).
     active: BitMask,
     dim: usize,
 }
@@ -103,22 +104,6 @@ impl Strategy for ApfStrategy {
         Some(&self.active)
     }
 
-    fn compress(
-        &mut self,
-        _round: u32,
-        _id: ClientId,
-        _group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        // Clients freeze the frozen parameters locally, so their deltas
-        // are zero there; the upload carries only active positions, whose
-        // identities the server already knows (known-mask encoding).
-        let (ix, vals) = scratch.take_sparse();
-        let sparse = SparseUpdate::from_dense_masked_in(delta, &self.active, ix, vals);
-        Upload::KnownMask(sparse)
-    }
-
     fn aggregate(
         &mut self,
         _round: u32,
@@ -147,7 +132,7 @@ impl Strategy for ApfStrategy {
         let mut mask = scratch.take_mask(self.dim);
         mask.copy_from(&self.active);
         // The observe above may have frozen/thawed parameters: refresh
-        // the cached mask for the next round's compress calls.
+        // the cached mask for the next round's uploads.
         self.apf.fill_active_mask(&mut self.active);
         MaskedUpdate::new(mask, values)
     }
@@ -211,6 +196,8 @@ impl Strategy for ApfStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ClientCodec;
+    use crate::config::StrategyConfig;
 
     fn cfg() -> ApfConfig {
         ApfConfig {
@@ -226,12 +213,17 @@ mod tests {
         ApfStrategy::new(10, 3, 1.0, vec![0.1; 10], cfg(), 6)
     }
 
+    fn codec() -> ClientCodec {
+        let apf = StrategyConfig::Apf { config: cfg() };
+        ClientCodec::new(&apf, 3, &[0.1; 10], 6, 6, BitMask::zeros(6))
+    }
+
     #[test]
     fn everything_active_initially() {
-        let mut s = strategy();
+        let s = strategy();
         let mut delta = vec![1.0f32; 6];
         let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
+        let up = codec().compress(0, 0, Group::Fresh, &mut delta, s.round_mask(0), &mut pool);
         match up {
             Upload::KnownMask(u) => assert_eq!(u.nnz(), 6),
             other => panic!("expected known-mask upload, got {other:?}"),
@@ -242,6 +234,7 @@ mod tests {
     fn oscillating_positions_get_frozen_and_uploads_shrink() {
         let mut pool = ScratchPool::new();
         let mut s = strategy();
+        let mut c = codec();
         // Positions 0..3 oscillate; 3..6 move steadily.
         for r in 0..20 {
             let sign = if r % 2 == 0 { 1.0 } else { -1.0 };
@@ -251,7 +244,8 @@ mod tests {
                     for (j, d) in delta.iter_mut().enumerate() {
                         *d = if j < 3 { sign * 0.5 } else { 0.5 };
                     }
-                    let up = s.compress(r, id, Group::Fresh, &mut delta, &mut pool);
+                    let up =
+                        c.compress(r, id, Group::Fresh, &mut delta, s.round_mask(r), &mut pool);
                     (id, Group::Fresh, up)
                 })
                 .collect();
@@ -260,7 +254,7 @@ mod tests {
         assert!(s.frozen_fraction() > 0.0, "nothing froze");
         // Steady positions must still be active.
         let mut probe = vec![1.0f32; 6];
-        let up = s.compress(99, 0, Group::Fresh, &mut probe, &mut pool);
+        let up = c.compress(99, 0, Group::Fresh, &mut probe, s.round_mask(99), &mut pool);
         match up {
             Upload::KnownMask(u) => {
                 assert!(u.indices().contains(&4) && u.indices().contains(&5));
@@ -274,6 +268,7 @@ mod tests {
     fn frozen_positions_do_not_change_in_aggregate() {
         let mut pool = ScratchPool::new();
         let mut s = strategy();
+        let mut c = codec();
         // Freeze positions 0..3 as above. The mask relevant to round r is
         // the one in force *before* aggregation advances the APF state.
         for r in 0..20 {
@@ -282,7 +277,8 @@ mod tests {
             let kept: Vec<(ClientId, Group, Upload)> = (0..3)
                 .map(|id| {
                     let mut delta = vec![sign * 0.5, sign * 0.5, sign * 0.5, 0.5, 0.5, 0.5];
-                    let up = s.compress(r, id, Group::Fresh, &mut delta, &mut pool);
+                    let up =
+                        c.compress(r, id, Group::Fresh, &mut delta, s.round_mask(r), &mut pool);
                     (id, Group::Fresh, up)
                 })
                 .collect();

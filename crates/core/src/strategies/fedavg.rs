@@ -63,17 +63,6 @@ impl Strategy for FedAvgStrategy {
         0
     }
 
-    fn compress(
-        &mut self,
-        _round: u32,
-        _id: ClientId,
-        _group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        Upload::Dense(scratch.take_copy(delta))
-    }
-
     fn aggregate(
         &mut self,
         _round: u32,
@@ -138,6 +127,9 @@ impl Strategy for FedAvgStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ClientCodec;
+    use crate::config::StrategyConfig;
+    use gluefl_tensor::BitMask;
     use rand::SeedableRng;
 
     fn strategy() -> FedAvgStrategy {
@@ -220,10 +212,18 @@ mod tests {
 
     #[test]
     fn dense_upload_and_no_mask_bytes() {
-        let mut s = strategy();
+        let s = strategy();
         let mut delta = vec![1.0f32; 8];
         let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
+        let mut codec = ClientCodec::new(
+            &StrategyConfig::FedAvg,
+            4,
+            &[0.05; 20],
+            8,
+            8,
+            BitMask::zeros(8),
+        );
+        let up = codec.compress(0, 0, Group::Fresh, &mut delta, None, &mut pool);
         assert_eq!(up.bytes(), 8 * 4 + 16);
         assert_eq!(s.mask_download_bytes(0), 0);
     }

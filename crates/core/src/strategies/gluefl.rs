@@ -7,19 +7,17 @@ use crate::aggregate::{
 };
 use crate::config::GlueFlParams;
 use crate::scratch::ScratchPool;
-use gluefl_compress::mask_shift::{shift_mask_packed_into, ClientSplit};
+use gluefl_compress::mask_shift::shift_mask_packed_into;
 use gluefl_compress::stc::keep_count;
-use gluefl_compress::ErrorCompensator;
 use gluefl_sampling::overcommit::{plan as oc_plan, OcStrategy};
-use gluefl_sampling::{sticky_weights, ClientId, OnlineQuery, StickySampler};
-use gluefl_tensor::{
-    top_k_abs_masked_into, top_k_abs_packed_into, BitMask, MaskedUpdate, SparseUpdate, TopKScope,
-};
+use gluefl_sampling::{ClientId, OnlineQuery, StickySampler};
+use gluefl_tensor::{top_k_abs_packed_into, BitMask, MaskedUpdate, SparseUpdate, TopKScope};
 use rand::rngs::StdRng;
 
 /// The paper's framework: sticky sampling (§3.1) for client selection,
-/// mask shifting (§3.2) for compression, with shared-mask regeneration and
-/// re-scaled error compensation (§3.3).
+/// mask shifting (§3.2) for compression, with shared-mask regeneration
+/// (§3.3). The client half — the shared/unique split and re-scaled error
+/// compensation — is [`crate::codec::ClientCodec`].
 #[derive(Debug)]
 pub struct GlueFlStrategy {
     sampler: StickySampler,
@@ -32,8 +30,6 @@ pub struct GlueFlStrategy {
     shared_mask: BitMask,
     /// Cached `|M_t|` (the length of every mask-aligned shared upload).
     shared_nnz: usize,
-    /// Cached `M_t ∪ stats`: the scope clients' unique top-k must avoid.
-    scope_mask: BitMask,
     /// Positions that may never be masked/selected (BN statistics).
     stats_excluded: BitMask,
     /// Cached `¬stats`: positions eligible for the shared mask.
@@ -41,7 +37,6 @@ pub struct GlueFlStrategy {
     /// Number of trainable positions (base for `q` ratios).
     trainable: usize,
     dim: usize,
-    ec: ErrorCompensator,
 }
 
 impl GlueFlStrategy {
@@ -87,9 +82,7 @@ impl GlueFlStrategy {
         use rand::seq::SliceRandom;
         let (sel, _) = picked.partial_shuffle(rng, k_mask);
         let shared_mask = BitMask::from_indices(dim, sel.iter().copied());
-        let ec = ErrorCompensator::new(params.compensation, dim);
         let shared_nnz = shared_mask.count_ones();
-        let scope_mask = shared_mask.or(&stats_excluded);
         let eligible = stats_excluded.not();
         Self {
             sampler,
@@ -100,22 +93,17 @@ impl GlueFlStrategy {
             weights,
             shared_mask,
             shared_nnz,
-            scope_mask,
             stats_excluded,
             eligible,
             trainable,
             dim,
-            ec,
         }
     }
 
-    /// Installs a freshly shifted/regenerated shared mask (swapping the
-    /// old one out for the caller to recycle) and refreshes the caches
-    /// derived from it in place — no allocation.
+    /// Installs a freshly shifted/regenerated shared mask, swapping the
+    /// old one out for the caller to recycle.
     fn set_shared_mask(&mut self, mask: BitMask) -> BitMask {
         self.shared_nnz = mask.count_ones();
-        self.scope_mask.copy_from(&mask);
-        self.scope_mask.union_with(&self.stats_excluded);
         std::mem::replace(&mut self.shared_mask, mask)
     }
 
@@ -129,25 +117,6 @@ impl GlueFlStrategy {
     #[must_use]
     pub fn sampler(&self) -> &StickySampler {
         &self.sampler
-    }
-
-    /// Whether `round` is a shared-mask regeneration round (§3.3).
-    #[must_use]
-    pub fn is_regen_round(&self, round: u32) -> bool {
-        match self.params.regen_interval {
-            Some(i) => round > 0 && round.is_multiple_of(i),
-            None => false,
-        }
-    }
-
-    /// Per-client unique top-k for this round: `q − q_shr` normally, the
-    /// full `q` on regeneration rounds (where the shared mask is unused).
-    fn unique_keep(&self, round: u32) -> usize {
-        if self.is_regen_round(round) {
-            keep_count(self.trainable, self.params.q)
-        } else {
-            keep_count(self.trainable, self.params.q - self.params.q_shr)
-        }
     }
 
     /// Finishing steps shared by [`Strategy::aggregate`] and
@@ -177,8 +146,8 @@ impl GlueFlStrategy {
         uni_vals: &[f32],
         scratch: &mut ScratchPool,
     ) -> MaskedUpdate {
-        let regen = self.is_regen_round(round);
-        let unique_k = self.unique_keep(round);
+        let regen = self.params.is_regen_round(round);
+        let unique_k = self.params.unique_keep(round, self.trainable);
         let mut mask = scratch.take_mask(self.dim);
         if !regen {
             mask.copy_from(&self.shared_mask);
@@ -252,20 +221,8 @@ impl Strategy for GlueFlStrategy {
     }
 
     fn client_weight(&self, id: ClientId, group: Group) -> f64 {
-        if self.params.equal_weights {
-            return 1.0 / self.k as f64;
-        }
-        let w = sticky_weights(
-            self.sampler.population(),
-            self.params.sticky_group,
-            self.params.sticky_draw,
-            self.k,
-        );
-        let factor = match group {
-            Group::Sticky => w.sticky_factor,
-            Group::Fresh => w.fresh_factor,
-        };
-        factor * self.weights[id]
+        self.params
+            .propensity_weight(self.sampler.population(), self.k, self.weights[id], group)
     }
 
     fn mask_download_bytes(&self, _round: u32) -> u64 {
@@ -280,63 +237,13 @@ impl Strategy for GlueFlStrategy {
         Some(&self.shared_mask)
     }
 
-    fn compress(
-        &mut self,
-        round: u32,
-        id: ClientId,
-        group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        let weight = self.client_weight(id, group);
-        // Re-scaled error compensation (Equation 7).
-        self.ec.apply(id, delta, weight);
-
-        let regen = self.is_regen_round(round);
-        let unique_k = self.unique_keep(round);
-        // Shared part: values under M_t (empty on regeneration rounds).
-        let shared = if regen {
-            SparseUpdate::empty(self.dim)
-        } else {
-            let (ix, vals) = scratch.take_sparse();
-            SparseUpdate::from_dense_masked_in(delta, &self.shared_mask, ix, vals)
-        };
-        // Unique part: top-(q−q_shr) outside M_t ∪ stats (cached).
-        let scope = if regen {
-            &self.stats_excluded
-        } else {
-            &self.scope_mask
-        };
-        let (ix, vals) = scratch.take_sparse();
-        let idx = top_k_abs_masked_into(
-            delta,
-            unique_k,
-            TopKScope::Outside(scope),
-            &mut scratch.topk,
-        );
-        let unique = SparseUpdate::gather_in(delta, idx, ix, vals);
-
-        // Residual: h = Δ − (Δ̃_shr + Δ̃_uni), recorded without
-        // materialising the dense `sent` vector.
-        self.ec
-            .record_sent_parts(id, delta, &[&shared, &unique], weight);
-
-        Upload::MaskSplit(ClientSplit { shared, unique })
-    }
-
-    fn fold_codec_error(&mut self, id: ClientId, indices: &[u32], sent: &[f32], shipped: &[f32]) {
-        // Codec loss joins the top-k residual h in the client's bank, so
-        // the rescaled compensation of Equation 7 re-sends it next time.
-        self.ec.fold_shipped_error(id, indices, sent, shipped);
-    }
-
     fn aggregate(
         &mut self,
         round: u32,
         kept: &[(ClientId, Group, Upload)],
         scratch: &mut ScratchPool,
     ) -> MaskedUpdate {
-        let regen = self.is_regen_round(round);
+        let regen = self.params.is_regen_round(round);
         let mut shared_entries: Vec<(f32, &[f32])> = Vec::with_capacity(kept.len());
         let mut unique_entries: Vec<(f32, &SparseUpdate)> = Vec::with_capacity(kept.len());
         for (id, group, upload) in kept {
@@ -410,7 +317,7 @@ impl Strategy for GlueFlStrategy {
         upload: &Upload,
         _scratch: &mut ScratchPool,
     ) {
-        let regen = self.is_regen_round(round);
+        let regen = self.params.is_regen_round(round);
         let w = self.client_weight(id, group) as f32;
         let stream_vals = acc
             .dense
@@ -489,6 +396,8 @@ impl Strategy for GlueFlStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ClientCodec;
+    use crate::config::StrategyConfig;
     use gluefl_compress::CompensationMode;
     use rand::SeedableRng;
 
@@ -502,6 +411,13 @@ mod tests {
             compensation: CompensationMode::Rescaled,
             equal_weights: false,
         }
+    }
+
+    /// The client codec matching [`strategy`] with parameters `p` over
+    /// `dim` positions.
+    fn codec(p: &GlueFlParams, dim: usize) -> ClientCodec {
+        let gluefl = StrategyConfig::GlueFl(p.clone());
+        ClientCodec::new(&gluefl, 4, &[0.05; 20], dim, dim, BitMask::zeros(dim))
     }
 
     fn strategy(seed: u64) -> GlueFlStrategy {
@@ -573,11 +489,18 @@ mod tests {
 
     #[test]
     fn compress_splits_along_mask() {
-        let mut s = strategy(5);
+        let s = strategy(5);
         let mask = s.shared_mask().clone();
         let mut delta: Vec<f32> = (0..20).map(|i| i as f32 - 10.0).collect();
         let mut pool = ScratchPool::new();
-        let up = s.compress(1, 0, Group::Sticky, &mut delta, &mut pool);
+        let up = codec(&params(), 20).compress(
+            1,
+            0,
+            Group::Sticky,
+            &mut delta,
+            s.round_mask(1),
+            &mut pool,
+        );
         match up {
             Upload::MaskSplit(split) => {
                 assert_eq!(split.shared.support(), mask);
@@ -591,13 +514,15 @@ mod tests {
 
     #[test]
     fn regen_round_sends_no_shared_part() {
-        let mut s = strategy(6);
-        assert!(s.is_regen_round(5));
-        assert!(!s.is_regen_round(4));
-        assert!(!s.is_regen_round(0)); // round 0 never regenerates
+        let s = strategy(6);
+        let p = params();
+        assert!(p.is_regen_round(5));
+        assert!(!p.is_regen_round(4));
+        assert!(!p.is_regen_round(0)); // round 0 never regenerates
         let mut delta: Vec<f32> = (0..20).map(|i| (i as f32) * 0.1).collect();
         let mut pool = ScratchPool::new();
-        let up = s.compress(5, 0, Group::Sticky, &mut delta, &mut pool);
+        let up =
+            codec(&p, 20).compress(5, 0, Group::Sticky, &mut delta, s.round_mask(5), &mut pool);
         match up {
             Upload::MaskSplit(split) => {
                 assert!(split.shared.is_empty());
@@ -611,11 +536,13 @@ mod tests {
     #[test]
     fn aggregate_updates_mask_to_top_qshr_of_combined() {
         let mut s = strategy(7);
+        let mut c = codec(&params(), 20);
         let mut delta: Vec<f32> = (0..20).map(|i| if i < 6 { 10.0 } else { 0.01 }).collect();
         let mut pool = ScratchPool::new();
-        let up = s.compress(1, 0, Group::Sticky, &mut delta.clone(), &mut pool);
+        let mask = s.round_mask(1);
+        let up = c.compress(1, 0, Group::Sticky, &mut delta.clone(), mask, &mut pool);
         let _ = up;
-        let up = s.compress(1, 1, Group::Sticky, &mut delta, &mut pool);
+        let up = c.compress(1, 1, Group::Sticky, &mut delta, mask, &mut pool);
         let agg = s.aggregate(1, &[(1, Group::Sticky, up)], &mut pool);
         assert_eq!(agg.dim(), 20);
         // New mask has q_shr density.
@@ -633,6 +560,7 @@ mod tests {
         let mut p = params();
         p.regen_interval = None;
         let mut init_rng = StdRng::seed_from_u64(8);
+        let mut c = codec(&p, 20);
         let mut s = GlueFlStrategy::new(
             20,
             4,
@@ -653,7 +581,8 @@ mod tests {
                 .map(|id| {
                     use rand::Rng;
                     let mut delta: Vec<f32> = (0..20).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                    let up = s.compress(round, id, Group::Sticky, &mut delta, &mut pool);
+                    let mask = s.round_mask(round);
+                    let up = c.compress(round, id, Group::Sticky, &mut delta, mask, &mut pool);
                     (id, Group::Sticky, up)
                 })
                 .collect();
@@ -700,21 +629,21 @@ mod tests {
             )
         };
         let mut compress_pool = ScratchPool::new();
-        let make_kept =
-            |s: &mut GlueFlStrategy, pool: &mut ScratchPool| -> Vec<(ClientId, Group, Upload)> {
-                (0..3)
-                    .map(|id| {
-                        let mut delta: Vec<f32> = (0..dim)
-                            .map(|i| ((i * 7 + id * 13) % 101) as f32 / 50.0 - 1.0)
-                            .collect();
-                        let up = s.compress(1, id, Group::Sticky, &mut delta, pool);
-                        (id, Group::Sticky, up)
-                    })
-                    .collect()
-            };
+        let make_kept = |s: &GlueFlStrategy, pool: &mut ScratchPool| {
+            let mut c = codec(&p, dim);
+            (0..3)
+                .map(|id| {
+                    let mut delta: Vec<f32> = (0..dim)
+                        .map(|i| ((i * 7 + id * 13) % 101) as f32 / 50.0 - 1.0)
+                        .collect();
+                    let up = c.compress(1, id, Group::Sticky, &mut delta, s.round_mask(1), pool);
+                    (id, Group::Sticky, up)
+                })
+                .collect::<Vec<(ClientId, Group, Upload)>>()
+        };
 
         let mut s = mk(21);
-        let kept = make_kept(&mut s, &mut compress_pool);
+        let kept = make_kept(&s, &mut compress_pool);
         let mut agg_pool = ScratchPool::new();
         let update = s.aggregate(1, &kept, &mut agg_pool);
         assert!(update.mask().count_ones() > 0);
@@ -726,7 +655,7 @@ mod tests {
 
         // Streaming fold path, fresh pool: same bound.
         let mut s2 = mk(21);
-        let kept2 = make_kept(&mut s2, &mut compress_pool);
+        let kept2 = make_kept(&s2, &mut compress_pool);
         let mut fold_pool = ScratchPool::new();
         let mut acc = s2.fold_begin(1, &mut fold_pool);
         for (id, group, up) in &kept2 {
@@ -749,7 +678,8 @@ mod tests {
 
     #[test]
     fn rescaled_compensation_survives_group_switch() {
-        let mut s = strategy(10);
+        let s = strategy(10);
+        let mut c = codec(&params(), 20);
         // Client 0 participates as Fresh (weight 12·0.05 = 0.6), residual
         // recorded; later participates as Sticky (weight 8/3·0.05 ≈ 0.133).
         // Craft a delta where one coordinate is dropped: make 3 positions
@@ -761,11 +691,11 @@ mod tests {
         d[outside[1]] = 4.0;
         d[outside[2]] = 3.0; // dropped by top-2 → residual
         let mut pool = ScratchPool::new();
-        let _ = s.compress(1, 0, Group::Fresh, &mut d, &mut pool);
+        let _ = c.compress(1, 0, Group::Fresh, &mut d, s.round_mask(1), &mut pool);
         // Next round, zero delta: compensation should re-inject the
         // residual scaled by ν_fresh/ν_sticky = 0.6/0.1333... = 4.5.
         let mut d2 = vec![0.0f32; 20];
-        let up = s.compress(2, 0, Group::Sticky, &mut d2, &mut pool);
+        let up = c.compress(2, 0, Group::Sticky, &mut d2, s.round_mask(2), &mut pool);
         match up {
             Upload::MaskSplit(split) => {
                 let dense = {

@@ -106,17 +106,6 @@ impl Strategy for MdFedAvgStrategy {
         0
     }
 
-    fn compress(
-        &mut self,
-        _round: u32,
-        _id: ClientId,
-        _group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        Upload::Dense(scratch.take_copy(delta))
-    }
-
     fn aggregate(
         &mut self,
         _round: u32,

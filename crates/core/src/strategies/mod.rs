@@ -1,9 +1,11 @@
 //! The four training strategies of the paper's evaluation.
 //!
-//! Every strategy implements [`Strategy`], the seam between the generic
-//! round simulator ([`crate::Simulation`]) and algorithm-specific
-//! behaviour: who is invited, how client deltas are compressed, how
+//! Every strategy implements [`Strategy`], the server half of the seam
+//! between the generic round drivers ([`crate::Simulation`] and the
+//! socket server) and algorithm-specific behaviour: who is invited, how
 //! uploads are aggregated, and what bookkeeping happens between rounds.
+//! The client half — how a trained delta becomes an [`Upload`] — is
+//! [`crate::codec::ClientCodec`], built from the same [`StrategyConfig`].
 //!
 //! Strategies operate on *trainable* positions only — BatchNorm statistics
 //! are zeroed in the deltas they see and are aggregated separately by the
@@ -192,12 +194,12 @@ impl FoldAcc {
     }
 }
 
-/// The strategy seam used by the round simulator.
+/// The server half of the strategy seam, used by both round drivers.
 ///
 /// Call order per round `t`:
 /// 1. [`Strategy::plan_round`] — invitations (with over-commitment);
-/// 2. [`Strategy::compress`] — once per invited client, after local
-///    training (may mutate the delta via error compensation);
+/// 2. clients train and compress through a
+///    [`crate::codec::ClientCodec`], against [`Strategy::round_mask`];
 /// 3. [`Strategy::aggregate`] — once, over the *kept* uploads; returns
 ///    the round's server update as a [`MaskedUpdate`] over trainable
 ///    positions. Streaming consumers use the equivalent incremental form
@@ -232,11 +234,12 @@ impl FoldAcc {
 ///
 /// # Pooling
 ///
-/// `compress` and `aggregate` receive the simulation's [`ScratchPool`];
+/// `aggregate` and the fold methods receive the driver's
+/// [`ScratchPool`] (as does [`crate::codec::ClientCodec::compress`]);
 /// strategies route top-k selections, dense accumulators, sparse
 /// index/value arenas, and support masks through it so the per-round hot
 /// path is allocation-free in steady state. The mask and values inside
-/// the returned [`MaskedUpdate`] come from the pool; the simulator hands
+/// the returned [`MaskedUpdate`] come from the pool; the driver hands
 /// them back with [`ScratchPool::put_update`] after applying, and returns
 /// every consumed upload's buffers with [`ScratchPool::reclaim_upload`].
 pub trait Strategy: Send {
@@ -267,38 +270,14 @@ pub trait Strategy: Send {
     /// broadcast to syncing clients at download time (the bytes charged
     /// by [`Strategy::mask_download_bytes`]) and it implicitly positions
     /// any mask-aligned upload this round ([`Upload::KnownMask`] and the
-    /// shared part of [`Upload::MaskSplit`]). The simulator encodes it as
-    /// a wire mask frame and hands it to the wire decoder to rebuild
-    /// mask-aligned payloads. `None` for strategies without a mask
-    /// (dense and explicit-position uploads).
+    /// shared part of [`Upload::MaskSplit`]). The drivers encode it as a
+    /// wire mask frame, pass it to every client's
+    /// [`crate::codec::ClientCodec::compress`], and hand it to the wire
+    /// decoder to rebuild mask-aligned payloads. `None` for strategies
+    /// without a mask (dense and explicit-position uploads).
     fn round_mask(&self, round: u32) -> Option<&gluefl_tensor::BitMask> {
         let _ = round;
         None
-    }
-
-    /// Compresses a trainable delta (stats positions zeroed) into an
-    /// upload. May apply/record error compensation.
-    fn compress(
-        &mut self,
-        round: u32,
-        id: ClientId,
-        group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload;
-
-    /// Reports the wire codec's loss on a client's serialized upload:
-    /// `sent` is what [`Strategy::compress`] handed the encoder at
-    /// `indices`, `shipped` is what the lossy codec actually delivered
-    /// (what the server will reconstruct). Fired by the drivers once per
-    /// value-bearing frame of a *kept* upload when the wire policy runs a
-    /// lossy codec with `quant_ec` on; never fired under `F32`.
-    /// Strategies with error-compensation memory fold `sent − shipped`
-    /// into the client's residual bank so codec loss re-enters the next
-    /// round; the default keeps the pre-existing behaviour of dropping
-    /// it.
-    fn fold_codec_error(&mut self, id: ClientId, indices: &[u32], sent: &[f32], shipped: &[f32]) {
-        let _ = (id, indices, sent, shipped);
     }
 
     /// Aggregates the kept uploads into a [`MaskedUpdate`] over trainable

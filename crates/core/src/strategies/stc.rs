@@ -4,15 +4,16 @@ use super::{FoldAcc, Group, RoundPlan, Strategy, Upload};
 use crate::aggregate::{accumulate_into, accumulate_uploads};
 use crate::scratch::ScratchPool;
 use gluefl_compress::stc::keep_count;
-use gluefl_compress::{CompensationMode, ErrorCompensator};
 use gluefl_sampling::{ClientId, OnlineQuery, UniformSampler};
-use gluefl_tensor::{top_k_abs_masked_into, BitMask, MaskedUpdate, SparseUpdate, TopKScope};
+use gluefl_tensor::{top_k_abs_masked_into, BitMask, MaskedUpdate, TopKScope};
 use rand::rngs::StdRng;
 
 /// The masking-only STC of Algorithm 1: clients upload `top_q(Δ_i)` (with
 /// classic error feedback), the server aggregates with `(N/K)p_i` weights
 /// and re-masks the aggregate with another `top_q`, so only `q·d`
-/// positions change per round.
+/// positions change per round. The client half (top-`q` with error
+/// feedback and optional ternary quantization) is
+/// [`crate::codec::ClientCodec`].
 #[derive(Debug)]
 pub struct StcStrategy {
     sampler: UniformSampler,
@@ -25,8 +26,7 @@ pub struct StcStrategy {
     dim: usize,
     /// Positions strategies must not select (BN statistics).
     stats_excluded: BitMask,
-    ec: ErrorCompensator,
-    /// Apply STC's ternary quantization to uploads (footnote 1).
+    /// Clients ternary-quantize their uploads (footnote 1).
     quantize: bool,
 }
 
@@ -56,14 +56,13 @@ impl StcStrategy {
             trainable,
             dim,
             stats_excluded,
-            ec: ErrorCompensator::new(CompensationMode::Raw, dim),
             quantize: false,
         }
     }
 
-    /// Enables ternary quantization of uploads: every kept value is sent
-    /// as `sign·μ` (one bit each plus one shared magnitude). Error
-    /// feedback then also carries the quantization residual.
+    /// Marks uploads as ternary-quantized: every kept value is sent as
+    /// `sign·μ` (one bit each plus one shared magnitude). Only the
+    /// display name changes here; the clients' codec quantizes.
     #[must_use]
     pub fn with_quantization(mut self) -> Self {
         self.quantize = true;
@@ -107,46 +106,6 @@ impl Strategy for StcStrategy {
 
     fn mask_download_bytes(&self, _round: u32) -> u64 {
         0
-    }
-
-    fn compress(
-        &mut self,
-        _round: u32,
-        id: ClientId,
-        _group: Group,
-        delta: &mut [f32],
-        scratch: &mut ScratchPool,
-    ) -> Upload {
-        // Error feedback: add the residual from the client's previous
-        // participation, then sparsify, then remember the new residual.
-        self.ec.apply(id, delta, 1.0);
-        let k = keep_count(self.trainable, self.q);
-        let (ix, vals) = scratch.take_sparse();
-        let idx = top_k_abs_masked_into(
-            delta,
-            k,
-            TopKScope::Outside(&self.stats_excluded),
-            &mut scratch.topk,
-        );
-        let sparse = SparseUpdate::gather_in(delta, idx, ix, vals);
-        if self.quantize {
-            // The residual must reflect what the server actually receives
-            // (the dequantized values), so quantization loss is carried
-            // into the next round too.
-            let ternary = gluefl_compress::stc::TernaryUpdate::quantize(&sparse);
-            self.ec
-                .record_sent_parts(id, delta, &[&ternary.dequantize()], 1.0);
-            Upload::Ternary(ternary)
-        } else {
-            self.ec.record_sent_parts(id, delta, &[&sparse], 1.0);
-            Upload::Sparse(sparse)
-        }
-    }
-
-    fn fold_codec_error(&mut self, id: ClientId, indices: &[u32], sent: &[f32], shipped: &[f32]) {
-        // Only the non-quantized (sparse f32) path ships value-bearing
-        // frames; ternary frames are exact given µ and never report.
-        self.ec.fold_shipped_error(id, indices, sent, shipped);
     }
 
     fn aggregate(
@@ -240,18 +199,33 @@ impl Strategy for StcStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ClientCodec;
+    use crate::config::StrategyConfig;
+    use gluefl_tensor::SparseUpdate;
     use rand::SeedableRng;
 
     fn strategy(q: f64) -> StcStrategy {
         StcStrategy::new(10, 3, 1.0, vec![0.1; 10], q, 8, 8, BitMask::zeros(8))
     }
 
+    /// The client codec of STC with ratio `q` (ternary when `quantize`)
+    /// over `dim` positions, all trainable except `excluded`.
+    fn codec(q: f64, quantize: bool, dim: usize, excluded: BitMask) -> ClientCodec {
+        let stc = if quantize {
+            StrategyConfig::StcQuantized { q }
+        } else {
+            StrategyConfig::Stc { q }
+        };
+        let trainable = dim - excluded.count_ones();
+        ClientCodec::new(&stc, 3, &[0.1; 10], trainable, dim, excluded)
+    }
+
     #[test]
     fn upload_is_top_q_sparse() {
-        let mut s = strategy(0.25);
+        let mut s = codec(0.25, false, 8, BitMask::zeros(8));
         let mut delta = vec![0.1f32, -9.0, 0.2, 8.0, 0.0, 0.0, 0.0, 0.0];
         let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
+        let up = s.compress(0, 0, Group::Fresh, &mut delta, None, &mut pool);
         match up {
             Upload::Sparse(u) => {
                 assert_eq!(u.indices(), &[1, 3]);
@@ -262,15 +236,15 @@ mod tests {
 
     #[test]
     fn error_feedback_carries_residual() {
-        let mut s = strategy(0.25);
+        let mut s = codec(0.25, false, 8, BitMask::zeros(8));
         // Round 1: client 5 sends top-2 of [4,3,2,1,...]; residual = rest.
         let mut d1 = vec![4.0f32, 3.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0];
         let mut pool = ScratchPool::new();
-        let _ = s.compress(0, 5, Group::Fresh, &mut d1, &mut pool);
+        let _ = s.compress(0, 5, Group::Fresh, &mut d1, None, &mut pool);
         // Round 2: zero fresh delta; compensation resurrects the residual,
         // so the upload now contains the previously-dropped coordinates.
         let mut d2 = vec![0.0f32; 8];
-        let up = s.compress(1, 5, Group::Fresh, &mut d2, &mut pool);
+        let up = s.compress(1, 5, Group::Fresh, &mut d2, None, &mut pool);
         match up {
             Upload::Sparse(u) => {
                 assert_eq!(u.indices(), &[2, 3]);
@@ -324,10 +298,10 @@ mod tests {
     fn stats_positions_never_selected() {
         let mut excluded = BitMask::zeros(8);
         excluded.set(0, true); // pretend position 0 is a BN statistic
-        let mut s = StcStrategy::new(10, 3, 1.0, vec![0.1; 10], 0.25, 7, 8, excluded);
+        let mut s = codec(0.25, false, 8, excluded);
         let mut delta = vec![100.0f32, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0];
         let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
+        let up = s.compress(0, 0, Group::Fresh, &mut delta, None, &mut pool);
         match up {
             Upload::Sparse(u) => {
                 assert!(!u.indices().contains(&0), "selected excluded position");
@@ -338,23 +312,21 @@ mod tests {
 
     #[test]
     fn quantized_upload_costs_fewer_bytes() {
-        let mut plain = strategy(0.5);
-        let mut quant = StcStrategy::new(10, 3, 1.0, vec![0.1; 10], 0.5, 8, 8, BitMask::zeros(8))
-            .with_quantization();
+        let mut plain = codec(0.5, false, 8, BitMask::zeros(8));
+        let mut quant = codec(0.5, true, 8, BitMask::zeros(8));
         let delta = vec![4.0f32, -3.0, 2.0, -1.0, 0.5, 0.25, 0.1, 0.05];
         let mut pool = ScratchPool::new();
-        let up_plain = plain.compress(0, 0, Group::Fresh, &mut delta.clone(), &mut pool);
-        let up_quant = quant.compress(0, 0, Group::Fresh, &mut delta.clone(), &mut pool);
+        let up_plain = plain.compress(0, 0, Group::Fresh, &mut delta.clone(), None, &mut pool);
+        let up_quant = quant.compress(0, 0, Group::Fresh, &mut delta.clone(), None, &mut pool);
         assert!(up_quant.bytes() < up_plain.bytes());
     }
 
     #[test]
     fn quantized_upload_preserves_signs_and_support() {
-        let mut s = StcStrategy::new(10, 3, 1.0, vec![0.1; 10], 0.5, 8, 8, BitMask::zeros(8))
-            .with_quantization();
+        let mut s = codec(0.5, true, 8, BitMask::zeros(8));
         let mut delta = vec![4.0f32, -3.0, 2.0, -1.0, 0.0, 0.0, 0.0, 0.0];
         let mut pool = ScratchPool::new();
-        let up = s.compress(0, 0, Group::Fresh, &mut delta, &mut pool);
+        let up = s.compress(0, 0, Group::Fresh, &mut delta, None, &mut pool);
         match up {
             Upload::Ternary(t) => {
                 let back = t.dequantize();
@@ -369,15 +341,14 @@ mod tests {
 
     #[test]
     fn quantization_error_is_carried_by_feedback() {
-        let mut s = StcStrategy::new(10, 3, 1.0, vec![0.1; 10], 1.0, 4, 4, BitMask::zeros(4))
-            .with_quantization();
+        let mut s = codec(1.0, true, 4, BitMask::zeros(4));
         // q = 1: everything is kept, only quantization loses information.
         let mut d1 = vec![4.0f32, 2.0, 0.0, 0.0];
         let mut pool = ScratchPool::new();
-        let _ = s.compress(0, 7, Group::Fresh, &mut d1, &mut pool);
+        let _ = s.compress(0, 7, Group::Fresh, &mut d1, None, &mut pool);
         // Sent sign·μ = ±3: residuals are (1, −1, 0, 0).
         let mut d2 = vec![0.0f32; 4];
-        let up = s.compress(1, 7, Group::Fresh, &mut d2, &mut pool);
+        let up = s.compress(1, 7, Group::Fresh, &mut d2, None, &mut pool);
         match up {
             Upload::Ternary(t) => {
                 let back = t.dequantize();

@@ -25,7 +25,7 @@
 //! codecs ([`Codec::F16`], [`Codec::QuantU8`]) the decoded values differ
 //! within the codec's error envelope; when [`WirePolicy::quant_ec`] is
 //! on, [`encode_upload_with_feedback`] reports the *dequantized* values
-//! each frame actually shipped back to the sender, so strategies with
+//! each frame actually shipped back to the sender, so client codecs with
 //! error-compensation memory fold the codec residual into the next
 //! round alongside the top-k residual.
 
@@ -33,6 +33,8 @@ use crate::scratch::ScratchPool;
 use crate::strategies::Upload;
 use gluefl_compress::mask_shift::ClientSplit;
 use gluefl_compress::stc::TernaryUpdate;
+use gluefl_tensor::rng::derive_seed;
+use gluefl_tensor::wire::HEADER_BYTES;
 use gluefl_tensor::{BitMask, SparseUpdate};
 use gluefl_wire::{
     decode_frame_prefix, Codec, Frame, FrameKind, FrameWriter, Rounding, WireError, WirePolicy,
@@ -77,6 +79,65 @@ pub fn encoded_len(upload: &Upload, policy: &WirePolicy) -> u64 {
     }
 }
 
+/// The byte counts a client offers for `upload` plus its `stats_len`
+/// BN-statistic values, as `(analytic, wire)`: the analytic
+/// [`Upload::bytes`] plus a dense stats frame, and the exact length of
+/// the payload [`encode_kept_upload`] writes. Both drivers price every
+/// invited upload with it before the keep decision.
+#[must_use]
+pub fn offer_bytes(upload: &Upload, policy: &WirePolicy, stats_len: usize) -> (u64, u64) {
+    let analytic = upload.bytes() + stats_len as u64 * 4 + HEADER_BYTES;
+    let wire = encoded_len(upload, policy) + FrameWriter::new(*policy).known_mask_len(stats_len);
+    (analytic, wire)
+}
+
+/// Serializes the round's broadcast into `out` and returns its length:
+/// one dense frame of the global `params`, always at full F32 precision
+/// (clients must train on the exact weights the download accounting
+/// assumes), plus the strategy's mask frame when it has one, which may
+/// take the RLE layout when `policy` admits it.
+pub fn encode_broadcast(
+    policy: &WirePolicy,
+    round: u32,
+    params: &[f32],
+    mask: Option<&BitMask>,
+    out: &mut Vec<u8>,
+) -> usize {
+    let writer = FrameWriter::new(WirePolicy {
+        codec: Codec::F32,
+        ..*policy
+    });
+    let mut len = writer.dense(out, round, Rounding::Nearest, params);
+    if let Some(mask) = mask {
+        len += writer.mask(out, round, mask);
+    }
+    len
+}
+
+/// Serializes client `id`'s kept upload for `round` plus its
+/// BN-statistic drift `stats` into `out` — the payload a granted client
+/// sends — and returns its length. Quantization seeds derive from
+/// `(seed, round, id)`, so encoding is rerun-stable and independent of
+/// processing order. `feedback` receives each lossy frame's shipped
+/// values (see [`encode_upload_with_feedback`]).
+#[allow(clippy::too_many_arguments)]
+pub fn encode_kept_upload(
+    upload: &Upload,
+    round: u32,
+    id: usize,
+    seed: u64,
+    policy: &WirePolicy,
+    stats: &[f32],
+    out: &mut Vec<u8>,
+    feedback: &mut ShippedFeedback<'_>,
+) -> usize {
+    let key = (u64::from(round) << 32) | id as u64;
+    let quant_seed = derive_seed(seed, "wire-quant", key);
+    let ulen = encode_upload_with_feedback(upload, round, policy, quant_seed, out, feedback);
+    let stats_rounding = rounding_for(policy.codec, derive_seed(seed, "wire-quant-stats", key));
+    ulen + FrameWriter::new(*policy).known_mask(out, round, stats_rounding, upload.dim(), stats)
+}
+
 /// Callback receiving `(indices, sent, shipped)` for each lossy
 /// value-bearing frame: the frame's coordinate indices, the values handed
 /// to the encoder, and the dequantized values a receiver reconstructs.
@@ -100,9 +161,9 @@ pub fn encode_upload(
 /// mask-aligned frame under a lossy codec (with [`WirePolicy::quant_ec`]
 /// on), `feedback(indices, sent, shipped)` receives the frame's
 /// coordinate indices, the values handed to the encoder, and the
-/// dequantized values a receiver will reconstruct. Strategies with
+/// dequantized values a receiver will reconstruct. Client codecs with
 /// error-compensation memory fold `sent − shipped` into their residual
-/// bank ([`crate::strategies::Strategy::fold_codec_error`]), so codec
+/// bank ([`crate::codec::ClientCodec::fold_codec_error`]), so codec
 /// loss is carried into the next round instead of silently dropped.
 ///
 /// The callback never fires under [`Codec::F32`] (shipped ≡ sent), for

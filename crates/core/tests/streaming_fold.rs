@@ -21,7 +21,7 @@
 use gluefl_compress::{ApfConfig, CompensationMode};
 use gluefl_core::strategies::{build_strategy, Group, Upload};
 use gluefl_core::stream::StreamingAggregator;
-use gluefl_core::{wire_link, GlueFlParams, ScratchPool, SimConfig, StrategyConfig};
+use gluefl_core::{wire_link, ClientCodec, GlueFlParams, ScratchPool, SimConfig, StrategyConfig};
 use gluefl_data::DatasetProfile;
 use gluefl_ml::DatasetModel;
 use gluefl_sampling::AllOnline;
@@ -125,6 +125,8 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
     let mut strat_b = build_strategy(&cfg, &weights, trainable, DIM, stats_excluded(), &mut rng_b);
     let mut pool_a = ScratchPool::new();
     let mut pool_b = ScratchPool::new();
+    let codec = || ClientCodec::new(&cfg.strategy, K, &weights, trainable, DIM, stats_excluded());
+    let (mut codec_a, mut codec_b) = (codec(), codec());
 
     for round in 0..ROUNDS {
         // Plan identically on both sides.
@@ -141,8 +143,22 @@ fn check_strategy(strategy_cfg: StrategyConfig, policy: WirePolicy, seed: u64, o
         for &(id, group) in &invited {
             let mut da = delta_for(seed, round, id);
             let mut db = da.clone();
-            let ua = strat_a.compress(round, id, group, &mut da, &mut pool_a);
-            let ub = strat_b.compress(round, id, group, &mut db, &mut pool_b);
+            let ua = codec_a.compress(
+                round,
+                id,
+                group,
+                &mut da,
+                strat_a.round_mask(round),
+                &mut pool_a,
+            );
+            let ub = codec_b.compress(
+                round,
+                id,
+                group,
+                &mut db,
+                strat_b.round_mask(round),
+                &mut pool_b,
+            );
             assert_eq!(ua, ub, "compress diverged for client {id}");
             pool_b.reclaim_upload(ub);
             uploads.push((id, group, ua));

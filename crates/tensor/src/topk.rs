@@ -33,7 +33,7 @@
 //!
 //! All allocation lives in [`TopKScratch`]; the `*_into` entry points are
 //! allocation-free after warm-up, which is what the per-round hot paths
-//! (`Strategy::compress` / `Strategy::aggregate`) use.
+//! (`ClientCodec::compress` / `Strategy::aggregate`) use.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

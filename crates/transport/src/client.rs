@@ -4,211 +4,30 @@
 //!
 //! # Bit-exactness
 //!
-//! A real client must reproduce, to the bit, what the in-process
-//! [`gluefl_core::Simulation`] computes for the same `(seed, round, id)`:
-//! the same synthetic shard, the same local-SGD delta
-//! ([`gluefl_core::local_train_into`] with the `"local-train"` derived
-//! seed), and the same compressed upload. Compression is mirrored here
-//! per strategy (the private `ClientCompressor`) rather than through a
-//! [`gluefl_core::strategies::Strategy`] instance, because the strategy
-//! object holds *server* state (samplers, masks) a client does not have —
-//! but the client-visible parts (error-compensation residuals keyed by
-//! client id, top-k scopes, propensity weights) depend only on the
-//! client's own history and the round's broadcast mask, which arrives in
-//! every `INVITE`. The loopback suite pins the mirror against the
-//! simulator for every strategy.
+//! A real client reproduces, to the bit, what the in-process
+//! [`gluefl_core::Simulation`] computes for the same `(seed, round, id)`
+//! because it runs the same code: the shard and model layout come from
+//! [`gluefl_core::RunSetup::new`], local training is
+//! [`gluefl_core::local_train_into`] with the `"local-train"` derived
+//! seed, compression is a [`gluefl_core::ClientCodec`] fed the round mask
+//! that arrives in every `INVITE`, and the offer and payload come from
+//! [`wire_link::offer_bytes`] and [`wire_link::encode_kept_upload`]. The
+//! simulator's codec keeps every client's residual in one bank keyed by
+//! client id; this node's codec only ever holds its own row.
 
 use crate::proto::{read_msg_blocking, write_msg, MsgKind, ProtoError, PROTO_VERSION};
 use crate::TransportError;
-use gluefl_compress::stc::keep_count;
-use gluefl_compress::{CompensationMode, ErrorCompensator};
 use gluefl_core::strategies::{Group, Upload};
-use gluefl_core::{local_train_into, wire_link, ScratchPool, SimConfig, StrategyConfig, TrainSlot};
-use gluefl_data::SyntheticFlDataset;
-use gluefl_ml::Mlp;
-use gluefl_sampling::sticky_weights;
+use gluefl_core::{
+    local_train_into, wire_link, ClientCodec, RunSetup, ScratchPool, SimConfig, TrainSlot,
+};
 use gluefl_telemetry::{Counter, Phase, Telemetry};
-use gluefl_tensor::rng::{derive_seed, seeded_rng};
-use gluefl_tensor::wire::HEADER_BYTES;
-use gluefl_tensor::{top_k_abs_masked_into, BitMask, SparseUpdate, TopKScope};
-use gluefl_wire::{decode_frame_prefix, FrameKind, FrameWriter};
+use gluefl_tensor::rng::derive_seed;
+use gluefl_tensor::BitMask;
+use gluefl_wire::{decode_frame_prefix, FrameKind};
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
-
-/// The client-side mirror of one strategy's `compress` path.
-///
-/// Each variant holds exactly the state the corresponding
-/// [`gluefl_core::strategies::Strategy`] keeps *per client*: the error
-/// compensator's residual map is keyed by client id and only ever touched
-/// inside `compress`, so a client carrying its own compensator stays
-/// bit-identical to the server-side strategy carrying everyone's.
-enum ClientCompressor {
-    /// FedAvg / MD-FedAvg: the dense delta is the upload.
-    Dense,
-    /// STC: error feedback, top-`q` outside the BN statistics, optional
-    /// ternary quantization.
-    Stc {
-        q: f64,
-        quantize: bool,
-        ec: ErrorCompensator,
-    },
-    /// APF: values under the broadcast active mask.
-    Apf,
-    /// GlueFL: re-scaled error compensation, shared part under the
-    /// broadcast mask `M_t`, unique top-`(q−q_shr)` outside `M_t ∪ stats`.
-    GlueFl {
-        params: gluefl_core::GlueFlParams,
-        /// This client's importance weight `p_i`.
-        own_weight: f64,
-        /// Population size (for the propensity factors).
-        n: usize,
-        /// Round size `K`.
-        k: usize,
-        ec: ErrorCompensator,
-        /// Reused `broadcast mask ∪ stats` scope.
-        scope: BitMask,
-    },
-}
-
-impl ClientCompressor {
-    /// Whether `round` regenerates GlueFL's shared mask (mirror of
-    /// `GlueFlStrategy::is_regen_round`).
-    fn is_regen_round(params: &gluefl_core::GlueFlParams, round: u32) -> bool {
-        match params.regen_interval {
-            Some(i) => round > 0 && round.is_multiple_of(i),
-            None => false,
-        }
-    }
-
-    /// This client's aggregation weight (mirror of
-    /// `Strategy::client_weight` for the strategies whose compress path
-    /// consumes it).
-    fn gluefl_weight(
-        params: &gluefl_core::GlueFlParams,
-        own_weight: f64,
-        n: usize,
-        k: usize,
-        group: Group,
-    ) -> f64 {
-        if params.equal_weights {
-            return 1.0 / k as f64;
-        }
-        let w = sticky_weights(n, params.sticky_group, params.sticky_draw, k);
-        let factor = match group {
-            Group::Sticky => w.sticky_factor,
-            Group::Fresh => w.fresh_factor,
-        };
-        factor * own_weight
-    }
-
-    /// Compresses this client's trained delta exactly as the server-side
-    /// strategy would. `broadcast_mask` is the round mask decoded from
-    /// the `INVITE` (`None` for dense/sparse strategies).
-    #[allow(clippy::too_many_arguments)]
-    fn compress(
-        &mut self,
-        round: u32,
-        id: usize,
-        group: Group,
-        delta: &mut [f32],
-        broadcast_mask: Option<&BitMask>,
-        trainable: usize,
-        dim: usize,
-        stats_excluded: &BitMask,
-        scratch: &mut ScratchPool,
-    ) -> Result<Upload, TransportError> {
-        match self {
-            ClientCompressor::Dense => Ok(Upload::Dense(scratch.take_copy(delta))),
-            ClientCompressor::Stc { q, quantize, ec } => {
-                ec.apply(id, delta, 1.0);
-                let k = keep_count(trainable, *q);
-                let (ix, vals) = scratch.take_sparse();
-                let idx = top_k_abs_masked_into(
-                    delta,
-                    k,
-                    TopKScope::Outside(stats_excluded),
-                    &mut scratch.topk,
-                );
-                let sparse = SparseUpdate::gather_in(delta, idx, ix, vals);
-                if *quantize {
-                    let ternary = gluefl_compress::stc::TernaryUpdate::quantize(&sparse);
-                    ec.record_sent_parts(id, delta, &[&ternary.dequantize()], 1.0);
-                    Ok(Upload::Ternary(ternary))
-                } else {
-                    ec.record_sent_parts(id, delta, &[&sparse], 1.0);
-                    Ok(Upload::Sparse(sparse))
-                }
-            }
-            ClientCompressor::Apf => {
-                let mask = broadcast_mask.ok_or(TransportError::MissingBroadcastMask)?;
-                let (ix, vals) = scratch.take_sparse();
-                Ok(Upload::KnownMask(SparseUpdate::from_dense_masked_in(
-                    delta, mask, ix, vals,
-                )))
-            }
-            ClientCompressor::GlueFl {
-                params,
-                own_weight,
-                n,
-                k,
-                ec,
-                scope,
-            } => {
-                let mask = broadcast_mask.ok_or(TransportError::MissingBroadcastMask)?;
-                let weight = Self::gluefl_weight(params, *own_weight, *n, *k, group);
-                ec.apply(id, delta, weight);
-
-                let regen = Self::is_regen_round(params, round);
-                let unique_k = if regen {
-                    keep_count(trainable, params.q)
-                } else {
-                    keep_count(trainable, params.q - params.q_shr)
-                };
-                let shared = if regen {
-                    SparseUpdate::empty(dim)
-                } else {
-                    let (ix, vals) = scratch.take_sparse();
-                    SparseUpdate::from_dense_masked_in(delta, mask, ix, vals)
-                };
-                let top_scope: &BitMask = if regen {
-                    stats_excluded
-                } else {
-                    scope.copy_from(mask);
-                    scope.union_with(stats_excluded);
-                    scope
-                };
-                let (ix, vals) = scratch.take_sparse();
-                let idx = top_k_abs_masked_into(
-                    delta,
-                    unique_k,
-                    TopKScope::Outside(top_scope),
-                    &mut scratch.topk,
-                );
-                let unique = SparseUpdate::gather_in(delta, idx, ix, vals);
-                ec.record_sent_parts(id, delta, &[&shared, &unique], weight);
-                Ok(Upload::MaskSplit(
-                    gluefl_compress::mask_shift::ClientSplit { shared, unique },
-                ))
-            }
-        }
-    }
-
-    /// Mirror of [`gluefl_core::strategies::Strategy::fold_codec_error`]:
-    /// folds the wire codec's loss on a *granted* upload into the
-    /// client's own residual bank. Fired from `encode_granted` — the
-    /// moment the bytes are serialized, matching the simulator, which
-    /// only ever encodes kept uploads — so loopback runs stay
-    /// bit-identical.
-    fn fold_codec_error(&mut self, id: usize, indices: &[u32], sent: &[f32], shipped: &[f32]) {
-        match self {
-            ClientCompressor::Stc { ec, .. } | ClientCompressor::GlueFl { ec, .. } => {
-                ec.fold_shipped_error(id, indices, sent, shipped);
-            }
-            ClientCompressor::Dense | ClientCompressor::Apf => {}
-        }
-    }
-}
 
 /// One real client: its data shard, model topology, training slot, and
 /// compression state, all derived from the shared [`SimConfig`].
@@ -218,16 +37,10 @@ impl ClientCompressor {
 pub struct ClientNode {
     cfg: SimConfig,
     id: usize,
-    data: SyntheticFlDataset,
-    /// Built only for its layout/topology; the trained parameters come
-    /// from the server's broadcast every round.
-    model: Mlp,
-    stats_positions: Vec<usize>,
-    trainable_mask: BitMask,
-    stats_excluded: BitMask,
-    trainable: usize,
-    dim: usize,
-    compressor: ClientCompressor,
+    /// The shard and model layout; the trained parameters come from the
+    /// server's broadcast every round.
+    setup: RunSetup,
+    codec: ClientCodec,
     slot: TrainSlot,
     scratch: ScratchPool,
     /// The round's decoded global parameters.
@@ -244,7 +57,7 @@ pub struct ClientNode {
 
 impl ClientNode {
     /// Builds the client for `id` from the run config. Dataset and model
-    /// layout derive from `cfg.seed` exactly as in
+    /// layout come from [`RunSetup::new`], as in
     /// [`gluefl_core::Simulation::new`], so both sides agree on shards,
     /// shapes, and BN-statistic positions.
     ///
@@ -252,54 +65,17 @@ impl ClientNode {
     /// Panics if `id` is outside the configured population.
     #[must_use]
     pub fn new(cfg: SimConfig, id: usize) -> Self {
-        let data =
-            SyntheticFlDataset::generate(cfg.dataset.clone(), derive_seed(cfg.seed, "data", 0));
-        assert!(id < data.num_clients(), "client id outside population");
-        let mut init_rng = seeded_rng(cfg.seed, "model-init", 0);
-        let model = cfg
-            .model
-            .build(data.feature_dim(), data.classes(), &mut init_rng);
-        let dim = model.num_params();
-        let layout = model.layout();
-        let trainable = layout.trainable_count();
-        let trainable_mask = layout.trainable_mask();
-        let stats_excluded = trainable_mask.not();
-        let stats_positions: Vec<usize> = stats_excluded.iter_ones().collect();
-        let n = data.num_clients();
-        let k = cfg.round_size;
-        let compressor = match &cfg.strategy {
-            StrategyConfig::FedAvg | StrategyConfig::MdFedAvg => ClientCompressor::Dense,
-            StrategyConfig::Stc { q } => ClientCompressor::Stc {
-                q: *q,
-                quantize: false,
-                ec: ErrorCompensator::new(CompensationMode::Raw, dim),
-            },
-            StrategyConfig::StcQuantized { q } => ClientCompressor::Stc {
-                q: *q,
-                quantize: true,
-                ec: ErrorCompensator::new(CompensationMode::Raw, dim),
-            },
-            StrategyConfig::Apf { .. } => ClientCompressor::Apf,
-            StrategyConfig::GlueFl(params) => ClientCompressor::GlueFl {
-                params: params.clone(),
-                own_weight: data.client_weights()[id],
-                n,
-                k,
-                ec: ErrorCompensator::new(params.compensation, dim),
-                scope: BitMask::zeros(dim),
-            },
-        };
+        let setup = RunSetup::new(&cfg);
+        assert!(
+            id < setup.data.num_clients(),
+            "client id outside population"
+        );
+        let codec = setup.codec(&cfg);
         Self {
             cfg,
             id,
-            data,
-            model,
-            stats_positions,
-            trainable_mask,
-            stats_excluded,
-            trainable,
-            dim,
-            compressor,
+            setup,
+            codec,
             slot: TrainSlot::default(),
             scratch: ScratchPool::new(),
             global: Vec::new(),
@@ -336,7 +112,8 @@ impl ClientNode {
         };
         // Broadcast frame 1: the dense F32 global model.
         let (model_frame, rest) = decode_frame_prefix(frames)?;
-        if model_frame.kind != FrameKind::Dense || model_frame.dim != self.dim {
+        let dim = self.setup.dim();
+        if model_frame.kind != FrameKind::Dense || model_frame.dim != dim {
             return Err(TransportError::BadBroadcast);
         }
         self.global.clear();
@@ -347,7 +124,7 @@ impl ClientNode {
         } else {
             let (mask_frame, tail) = decode_frame_prefix(rest)?;
             if !matches!(mask_frame.kind, FrameKind::Mask | FrameKind::MaskRle)
-                || mask_frame.dim != self.dim
+                || mask_frame.dim != dim
                 || !tail.is_empty()
             {
                 return Err(TransportError::BadBroadcast);
@@ -356,22 +133,25 @@ impl ClientNode {
             mask_frame.mask_into(&mut mask);
             Some(mask)
         };
+        if self.codec.needs_round_mask() && self.round_mask.is_none() {
+            return Err(TransportError::MissingBroadcastMask);
+        }
 
         // Local training — identical inputs to the simulator's worker.
         let lr = self.cfg.lr_at_round(round);
         self.delta.clear();
-        self.delta.resize(self.dim, 0.0);
+        self.delta.resize(dim, 0.0);
         self.stats_out.clear();
-        self.stats_out.resize(self.stats_positions.len(), 0.0);
+        self.stats_out.resize(self.setup.stats_positions.len(), 0.0);
         let client_seed = derive_seed(
             self.cfg.seed,
             "local-train",
             (u64::from(round) << 32) | self.id as u64,
         );
         local_train_into(
-            self.model.topology(),
+            self.setup.model.topology(),
             &self.global,
-            &self.data,
+            &self.setup.data,
             self.id,
             self.cfg.local_steps,
             self.cfg.batch_size,
@@ -379,9 +159,9 @@ impl ClientNode {
             self.cfg.momentum,
             client_seed,
             &mut self.delta,
-            &self.stats_positions,
+            &self.setup.stats_positions,
             &mut self.stats_out,
-            &self.trainable_mask,
+            &self.setup.trainable_mask,
             &mut self.slot,
         );
 
@@ -390,24 +170,17 @@ impl ClientNode {
         if let Some((_, stale)) = self.pending.take() {
             self.scratch.reclaim_upload(stale);
         }
-        let upload = self.compressor.compress(
+        let upload = self.codec.compress(
             round,
             self.id,
             group,
             &mut self.delta,
             self.round_mask.as_ref(),
-            self.trainable,
-            self.dim,
-            &self.stats_excluded,
             &mut self.scratch,
-        )?;
-        let stats_len = self.stats_positions.len();
-        let policy = self.cfg.wire;
-        let analytic = upload.bytes() + stats_len as u64 * 4 + HEADER_BYTES;
-        let wire = wire_link::encoded_len(&upload, &policy)
-            + FrameWriter::new(policy).known_mask_len(stats_len);
+        );
+        let offer = wire_link::offer_bytes(&upload, &self.cfg.wire, self.stats_out.len());
         self.pending = Some((round, upload));
-        Ok((analytic, wire))
+        Ok(offer)
     }
 
     /// Serializes the staged upload (frames + BN-statistics frame) into
@@ -420,31 +193,21 @@ impl ClientNode {
     pub fn encode_granted(&mut self, round: u32, out: &mut Vec<u8>) -> Result<(), TransportError> {
         match self.pending.take() {
             Some((r, upload)) if r == round => {
-                let policy = self.cfg.wire;
-                let key = (u64::from(round) << 32) | self.id as u64;
                 // A grant means this upload is kept: serialize it and
                 // fold any lossy-codec residual into the client's own
                 // error-compensation bank, exactly as the simulator's
                 // driver does for kept uploads.
                 let id = self.id;
-                let compressor = &mut self.compressor;
-                let _ = wire_link::encode_upload_with_feedback(
+                let codec = &mut self.codec;
+                let _ = wire_link::encode_kept_upload(
                     &upload,
                     round,
-                    &policy,
-                    derive_seed(self.cfg.seed, "wire-quant", key),
-                    out,
-                    &mut |ix, sent, shipped| compressor.fold_codec_error(id, ix, sent, shipped),
-                );
-                let _ = FrameWriter::new(policy).known_mask(
-                    out,
-                    round,
-                    wire_link::rounding_for(
-                        policy.codec,
-                        derive_seed(self.cfg.seed, "wire-quant-stats", key),
-                    ),
-                    self.dim,
+                    id,
+                    self.cfg.seed,
+                    &self.cfg.wire,
                     &self.stats_out,
+                    out,
+                    &mut |ix, sent, shipped| codec.fold_codec_error(id, ix, sent, shipped),
                 );
                 self.scratch.reclaim_upload(upload);
                 Ok(())

@@ -13,35 +13,40 @@
 //!    carrying its group tag plus that cached frame pair;
 //! 3. collects `OFFER`s — each client's predicted upload byte counts —
 //!    under per-client deadlines derived from the *modeled* download and
-//!    compute times ([`wall_deadline`]);
-//! 4. keeps the fastest offers per group (the modeled times use the same
-//!    [`fastest`] rule as the simulator) and `GRANT`s exactly the keep
-//!    set — the over-committed remainder is told to discard, so its
-//!    upload bytes never reach the decoder; a remainder client that
-//!    uploads anyway has its payload drained and dropped unread;
+//!    compute times ([`wall_deadline`]); an offer above twice the
+//!    payload cap kills its sender;
+//! 4. keeps the fastest offers per group ([`keep_fastest`]) and
+//!    `GRANT`s exactly the keep set — the over-committed remainder is
+//!    told to discard, so its upload bytes never reach the decoder; a
+//!    remainder client that uploads anyway has its payload drained and
+//!    dropped unread;
 //! 5. decodes each granted upload **as it arrives**
 //!    ([`wire_link::decode_upload_with_stats`]) and folds it immediately
 //!    through the [`StreamingAggregator`] — there is no
-//!    collect-then-aggregate staging; a hostile or dead client is
-//!    skipped (`gate.skip`) and the round completes without it;
+//!    collect-then-aggregate staging; a hostile or dead client, or one
+//!    whose upload length differs from its offer, is skipped
+//!    (`gate.skip`) and the round completes without it;
 //! 6. applies the masked update, averages BN statistics (Appendix D),
-//!    evolves sticky state, and evaluates on schedule — all in the
-//!    simulator's exact order, so the per-round [`RoundRecord`]s match
-//!    the in-process run field for field.
+//!    evolves sticky state, and evaluates on schedule.
+//!
+//! Every step that is not socket handling — the run state, planning,
+//! download accounting, timing, keep selection, the apply, rebalancing,
+//! evaluation — is the code [`gluefl_core::Simulation`] runs
+//! ([`RunSetup`], [`ServerSetup`], [`wire_link`]), so the per-round
+//! [`RoundRecord`]s match the in-process run field for field.
 
-use crate::proto::{read_msg, stall_ticks_for, write_msg, MsgKind, ProtoError, PROTO_VERSION};
+use crate::proto::{
+    read_msg, stall_ticks_for, write_msg, MsgKind, ProtoError, MAX_PAYLOAD, PROTO_VERSION,
+};
 use crate::TransportError;
-use gluefl_core::strategies::{build_strategy, Group, Strategy, Upload};
+use gluefl_core::strategies::{Group, Strategy, Upload};
 use gluefl_core::stream::StreamingAggregator;
 use gluefl_core::{
-    wire_link, RoundRecord, ScratchPool, SimConfig, StalenessTracker, StrategyConfig,
+    keep_fastest, wire_link, ClientCodec, RoundRecord, RunSetup, ScratchPool, ServerSetup,
+    SimConfig,
 };
-use gluefl_data::SyntheticFlDataset;
-use gluefl_net::timing::{fastest, seconds_for_bytes, wall_deadline, ClientRoundTime};
-use gluefl_net::{LazyAvailability, LinkCache, SpeedCache};
+use gluefl_net::timing::{wall_deadline, ClientRoundTime};
 use gluefl_telemetry::{Counter, Dir, EventKind, Telemetry};
-use gluefl_tensor::rng::{derive_seed, seeded_rng};
-use gluefl_wire::{Codec, Rounding};
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -50,9 +55,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Modeled upload time assigned to an invited client that never offered:
-/// large enough to lose every [`fastest`] comparison, finite so the sort
-/// never sees a NaN/∞ ordering panic.
+/// large enough to lose every [`keep_fastest`] comparison, finite so the
+/// sort never sees a NaN/∞ ordering panic.
 const MISSING_OFFER_SECS: f64 = 1e30;
+
+/// Largest byte count an honest `OFFER` can name: twice the envelope
+/// payload cap. The `INVITE` carrying the dense F32 model already fits
+/// [`MAX_PAYLOAD`], so no honest upload comes near this; a larger figure
+/// is a protocol violation, and a round's sum of offers cannot overflow.
+const MAX_OFFER_BYTES: u64 = 2 * MAX_PAYLOAD as u64;
 
 /// Transport-level knobs of the server (the training run itself is fully
 /// described by the [`SimConfig`]).
@@ -316,50 +327,15 @@ impl Server {
         let stall_ticks = stall_ticks_for(net.stall_grace, net.read_tick);
         let tel = net.telemetry.clone().map(NetRecorder::new);
 
-        // --- Training state, mirroring Simulation::new exactly. ---
-        let data =
-            SyntheticFlDataset::generate(cfg.dataset.clone(), derive_seed(cfg.seed, "data", 0));
-        let n = data.num_clients();
-        let mut init_rng = seeded_rng(cfg.seed, "model-init", 0);
-        let mut model = cfg
-            .model
-            .build(data.feature_dim(), data.classes(), &mut init_rng);
-        let dim = model.num_params();
-        let layout = model.layout();
-        let trainable = layout.trainable_count();
-        let trainable_mask = layout.trainable_mask();
-        let stats_excluded = trainable_mask.not();
-        let stats_positions: Vec<usize> = stats_excluded.iter_ones().collect();
-        let stats_len = stats_positions.len();
-        let mut strat_rng = seeded_rng(cfg.seed, "strategy", 0);
-        let mut strategy = build_strategy(
-            &cfg,
-            data.client_weights(),
-            trainable,
-            dim,
-            stats_excluded,
-            &mut strat_rng,
-        );
-        let mut links = LinkCache::new(cfg.network, derive_seed(cfg.seed, "network", 0));
-        let mut speeds = SpeedCache::new(cfg.device, derive_seed(cfg.seed, "devices", 0));
-        let mut availability = cfg.availability.map(|a| {
-            LazyAvailability::new(
-                n,
-                a.online_fraction,
-                a.mean_session_rounds,
-                derive_seed(cfg.seed, "availability", 0),
-            )
-        });
-        let mut staleness = StalenessTracker::new(dim, n);
-        let mut rng = seeded_rng(cfg.seed, "simulation", 0);
-        let (time_byte_factor, time_params) = if cfg.paper_time_model {
-            (
-                cfg.model.paper_scale_factor(dim),
-                cfg.model.reference_params as usize,
-            )
-        } else {
-            (1.0, dim)
-        };
+        // --- Run state, built by the same constructors as the simulator's. ---
+        let mut setup = RunSetup::new(&cfg);
+        let mut srv = ServerSetup::new(&cfg, &setup);
+        // Holds no residuals: it only names the upload variant the
+        // strategy's clients produce.
+        let codec = setup.codec(&cfg);
+        let n = setup.data.num_clients();
+        let dim = setup.dim();
+        let stats_len = setup.stats_positions.len();
         let mut scratch = ScratchPool::new();
 
         // --- Handshake phase. ---
@@ -414,19 +390,7 @@ impl Server {
 
         for round in 0..cfg.rounds {
             // --- Plan (strategy RNG + availability, alive-gated). ---
-            let plan = {
-                let alive = &alive;
-                match &mut availability {
-                    Some(av) => {
-                        let mut query = |id: usize| alive[id] && av.is_online(id, round);
-                        strategy.plan_round(round, &mut rng, &mut query)
-                    }
-                    None => {
-                        let mut query = |id: usize| alive[id];
-                        strategy.plan_round(round, &mut rng, &mut query)
-                    }
-                }
-            };
+            let plan = srv.plan_round(round, |id| alive[id]);
             invited.clear();
             invited.extend(plan.invited());
             let mut rec = RoundRecord {
@@ -435,7 +399,7 @@ impl Server {
                 ..Default::default()
             };
             if invited.is_empty() {
-                maybe_eval(&cfg, &data, &model, &mut scratch, round, &mut rec);
+                setup.eval_on_schedule(&cfg, &mut scratch, round, &mut rec);
                 records.push(rec);
                 continue;
             }
@@ -444,30 +408,18 @@ impl Server {
             }
 
             // --- Download accounting (every invited client syncs). ---
-            let mask_bytes = strategy.mask_download_bytes(round);
-            let download_bytes: Vec<u64> = invited
-                .iter()
-                .map(|&(id, _)| staleness.download_bytes(id) + mask_bytes)
-                .collect();
-            for &(id, _) in &invited {
-                staleness.mark_synced(id);
-            }
+            let download_bytes = srv.sync_invited(round, &invited);
             rec.down_bytes = download_bytes.iter().sum();
 
             // --- Serialize the broadcast once; INVITE every client. ---
-            // Model weights always travel at full F32 precision; the mask
-            // frame may take the RLE layout when the policy admits it —
-            // mirroring the simulator's `measure_broadcast`.
-            let broadcast_writer = gluefl_wire::FrameWriter::new(gluefl_wire::WirePolicy {
-                codec: Codec::F32,
-                ..cfg.wire
-            });
             bbuf.clear();
-            let _ = broadcast_writer.dense(&mut bbuf, round, Rounding::Nearest, model.params());
-            if let Some(mask) = strategy.round_mask(round) {
-                let _ = broadcast_writer.mask(&mut bbuf, round, mask);
-            }
-            rec.wire_broadcast_bytes = bbuf.len() as u64;
+            rec.wire_broadcast_bytes = wire_link::encode_broadcast(
+                &cfg.wire,
+                round,
+                setup.model.params(),
+                srv.strategy.round_mask(round),
+                &mut bbuf,
+            ) as u64;
             for &(id, group) in &invited {
                 if !alive[id] {
                     continue;
@@ -488,20 +440,13 @@ impl Server {
             let mut times: Vec<ClientRoundTime> = Vec::with_capacity(invited.len());
             let mut deadlines: Vec<Instant> = Vec::with_capacity(invited.len());
             for (i, &(id, _)) in invited.iter().enumerate() {
-                let link = links.get(id);
-                let t_down = (download_bytes[i] as f64 * time_byte_factor) as u64;
-                let download_secs = seconds_for_bytes(t_down, link.down_mbps);
-                let compute_secs =
-                    cfg.local_steps as f64 * cfg.device.step_seconds(time_params, speeds.get(id));
-                times.push(ClientRoundTime {
-                    download_secs,
-                    compute_secs,
-                    upload_secs: MISSING_OFFER_SECS,
-                });
+                let mut time = srv.download_compute_time(&cfg, id, download_bytes[i]);
+                time.upload_secs = MISSING_OFFER_SECS;
+                times.push(time);
                 deadlines.push(
                     phase_start
                         + wall_deadline(
-                            download_secs + compute_secs,
+                            time.download_secs + time.compute_secs,
                             net.offer_timeout,
                             net.secs_per_modeled_sec,
                         ),
@@ -559,21 +504,24 @@ impl Server {
                     continue;
                 }
                 let ix = if id < n { invited_ix[id] } else { usize::MAX };
-                match event {
+                let offer = match &event {
                     ReaderEvent::Msg(env, payload)
                         if env.kind == MsgKind::Offer
                             && env.round == round
                             && ix != usize::MAX
-                            && !resolved[ix]
-                            && payload.len() == 16 =>
+                            && !resolved[ix] =>
                     {
-                        let analytic = u64::from_le_bytes(payload[..8].try_into().expect("8 B"));
-                        let wire = u64::from_le_bytes(payload[8..16].try_into().expect("8 B"));
-                        offers[ix] = Some((analytic, wire));
+                        parse_offer(payload)
+                    }
+                    _ => None,
+                };
+                match offer {
+                    Some(offer) => {
+                        offers[ix] = Some(offer);
                         resolved[ix] = true;
                         pending -= 1;
                     }
-                    _ => {
+                    None => {
                         // Closed, failed, or a protocol violation.
                         kill(id, &mut alive, &conns, &mut dead_clients, &tel, round);
                         if ix != usize::MAX && !resolved[ix] {
@@ -589,22 +537,12 @@ impl Server {
                 if let Some((analytic, wire)) = offers[i] {
                     rec.up_bytes += analytic;
                     rec.wire_up_bytes += wire;
-                    let link = links.get(id);
-                    let t_up = (wire as f64 * time_byte_factor) as u64;
-                    times[i].upload_secs = seconds_for_bytes(t_up, link.up_mbps);
+                    times[i].upload_secs = srv.upload_secs(id, wire);
                 }
             }
 
             // --- Keep the fastest per group (over-commitment, §5.6). ---
-            let sticky_n = plan.sticky_invites.len();
-            let (sticky_times, fresh_times) = times.split_at(sticky_n);
-            let kept_sticky_local = fastest(sticky_times, plan.keep_sticky);
-            let kept_fresh_local = fastest(fresh_times, plan.keep_fresh);
-            let kept_idx: Vec<usize> = kept_sticky_local
-                .iter()
-                .copied()
-                .chain(kept_fresh_local.iter().map(|&i| i + sticky_n))
-                .collect();
+            let kept_idx = keep_fastest(&plan, &times);
             rec.kept = kept_idx.len();
             let mut kept_slot = vec![usize::MAX; invited.len()];
             for (j, &i) in kept_idx.iter().enumerate() {
@@ -632,7 +570,7 @@ impl Server {
             // --- Upload phase: decode + fold each arrival immediately. ---
             let kept_pairs: Vec<(usize, Group)> = kept_idx.iter().map(|&i| invited[i]).collect();
             let mut gate =
-                StreamingAggregator::begin(round, &kept_pairs, &mut *strategy, &mut scratch);
+                StreamingAggregator::begin(round, &kept_pairs, &mut *srv.strategy, &mut scratch);
             stats_saved.clear();
             stats_saved.resize(kept_idx.len() * stats_len, 0.0);
             let mut delivered = vec![false; kept_idx.len()];
@@ -653,7 +591,7 @@ impl Server {
                 if alive[id] && offers[i].is_some() {
                     pending += 1;
                 } else {
-                    let _ = gate.skip(&mut *strategy, id, &mut scratch);
+                    let _ = gate.skip(&mut *srv.strategy, id, &mut scratch);
                     skipped_uploads += 1;
                     if let Some(t) = &tel {
                         t.skip(round, id);
@@ -668,7 +606,7 @@ impl Server {
                         up_resolved[j] = true;
                         pending -= 1;
                         let id = invited[kept_idx[j]].0;
-                        let _ = gate.skip(&mut *strategy, id, &mut scratch);
+                        let _ = gate.skip(&mut *srv.strategy, id, &mut scratch);
                         skipped_uploads += 1;
                         if let Some(t) = &tel {
                             t.upload_deadlines.inc();
@@ -731,9 +669,10 @@ impl Server {
                         }
                         let ok = accept_upload(
                             &payload,
+                            offers[ix].map_or(0, |(_, wire)| wire),
                             round,
-                            &cfg.strategy,
-                            &mut *strategy,
+                            &codec,
+                            &mut *srv.strategy,
                             &mut gate,
                             &mut scratch,
                             id,
@@ -745,7 +684,7 @@ impl Server {
                         if ok {
                             delivered[slot] = true;
                         } else {
-                            let _ = gate.skip(&mut *strategy, id, &mut scratch);
+                            let _ = gate.skip(&mut *srv.strategy, id, &mut scratch);
                             skipped_uploads += 1;
                             if let Some(t) = &tel {
                                 t.skip(round, id);
@@ -758,7 +697,7 @@ impl Server {
                     _ => {
                         kill(id, &mut alive, &conns, &mut dead_clients, &tel, round);
                         if slot != usize::MAX && !up_resolved[slot] {
-                            let _ = gate.skip(&mut *strategy, id, &mut scratch);
+                            let _ = gate.skip(&mut *srv.strategy, id, &mut scratch);
                             skipped_uploads += 1;
                             if let Some(t) = &tel {
                                 t.skip(round, id);
@@ -770,71 +709,21 @@ impl Server {
                 }
             }
             assert!(gate.complete(), "every kept slot must be resolved");
-            let update = gate.finish(&mut *strategy, &mut scratch);
+            let update = gate.finish(&mut *srv.strategy, &mut scratch);
 
-            // --- Apply the masked update; scan changed positions. ---
-            update.add_to(model.params_mut());
-            changed.clear();
-            update.for_each_nonzero(|j, _| {
-                debug_assert!(
-                    stats_positions.binary_search(&j).is_err(),
-                    "strategy update has a nonzero value at BN-statistic position {j}"
-                );
-                changed.push(j);
-            });
-
-            // --- BN statistics: plain mean over delivered stats frames
-            // (identical to the simulator's 1/K mean when none skipped). ---
-            let delivered_count = delivered.iter().filter(|&&d| d).count();
-            if delivered_count > 0 {
-                let inv_k = 1.0 / delivered_count as f32;
-                let params = model.params_mut();
-                for (j, &p) in stats_positions.iter().enumerate() {
-                    let mean: f32 = (0..kept_idx.len())
-                        .filter(|&kj| delivered[kj])
-                        .map(|kj| stats_saved[kj * stats_len + j])
-                        .sum::<f32>()
-                        * inv_k;
-                    params[p] += mean;
-                    if mean != 0.0 {
-                        changed.push(p);
-                    }
-                }
-            }
-            rec.changed_positions = changed.len();
-            staleness.record_update(changed.iter().copied());
-            scratch.put_update(update);
-
-            // --- Post-round bookkeeping (sticky rebalance). ---
-            let kept_sticky_ids: Vec<usize> =
-                kept_sticky_local.iter().map(|&i| invited[i].0).collect();
-            let kept_fresh_ids: Vec<usize> = kept_fresh_local
-                .iter()
-                .map(|&i| invited[i + sticky_n].0)
+            // --- Apply the update and the BN-statistic mean over the
+            // delivered stats frames (the simulator's 1/K mean when none
+            // was skipped); rebalance with the whole keep set. ---
+            let stats_rows: Vec<&[f32]> = (0..kept_idx.len())
+                .filter(|&kj| delivered[kj])
+                .map(|kj| &stats_saved[kj * stats_len..(kj + 1) * stats_len])
                 .collect();
-            strategy.finish_round(round, &mut rng, &kept_sticky_ids, &kept_fresh_ids);
-
-            // --- Timing metrics over kept clients. ---
-            let kept_times: Vec<ClientRoundTime> = kept_idx.iter().map(|&i| times[i]).collect();
-            rec.round_secs = kept_times
-                .iter()
-                .map(ClientRoundTime::total_secs)
-                .fold(0.0, f64::max);
-            rec.slowest_download_secs = kept_times
-                .iter()
-                .map(|t| t.download_secs)
-                .fold(0.0, f64::max);
-            rec.slowest_upload_secs = kept_times.iter().map(|t| t.upload_secs).fold(0.0, f64::max);
-            rec.slowest_compute_secs = kept_times
-                .iter()
-                .map(|t| t.compute_secs)
-                .fold(0.0, f64::max);
-            let kn = kept_times.len().max(1) as f64;
-            rec.mean_download_secs = kept_times.iter().map(|t| t.download_secs).sum::<f64>() / kn;
-            rec.mean_upload_secs = kept_times.iter().map(|t| t.upload_secs).sum::<f64>() / kn;
-            rec.mean_compute_secs = kept_times.iter().map(|t| t.compute_secs).sum::<f64>() / kn;
-
-            maybe_eval(&cfg, &data, &model, &mut scratch, round, &mut rec);
+            let delivered_count = stats_rows.len();
+            rec.changed_positions =
+                srv.apply_update(&mut setup, update, &stats_rows, &mut changed, &mut scratch);
+            srv.finish_round(round, &invited, &kept_idx);
+            rec.set_kept_times(&times, &kept_idx);
+            setup.eval_on_schedule(&cfg, &mut scratch, round, &mut rec);
             records.push(rec);
             if let Some(t) = &tel {
                 t.hub.event(
@@ -872,8 +761,8 @@ impl Server {
 
         Ok(ServerReport {
             records,
-            strategy: strategy.name(),
-            final_params_fnv: crate::fnv1a_f32_bits(model.params()),
+            strategy: srv.strategy.name(),
+            final_params_fnv: crate::fnv1a_f32_bits(setup.model.params()),
             skipped_uploads,
             dead_clients,
         })
@@ -947,15 +836,17 @@ fn handshake(
 }
 
 /// Decodes, validates, and folds one upload payload. Returns `false`
-/// (without panicking) for anything hostile: wire errors, a variant the
+/// (without panicking) for anything hostile: wire errors, a payload
+/// whose length differs from the `offered_wire` bytes, a variant the
 /// strategy would reject, misaligned dimensions, unsorted or
 /// out-of-range indices, or a stats frame that disagrees with the model
 /// layout.
 #[allow(clippy::too_many_arguments)]
 fn accept_upload(
     payload: &[u8],
+    offered_wire: u64,
     round: u32,
-    strategy_cfg: &StrategyConfig,
+    codec: &ClientCodec,
     strategy: &mut dyn Strategy,
     gate: &mut StreamingAggregator,
     scratch: &mut ScratchPool,
@@ -975,7 +866,8 @@ fn accept_upload(
             return false;
         }
     };
-    let sane = upload_matches(strategy_cfg, &upload)
+    let sane = payload.len() as u64 == offered_wire
+        && codec.accepts(&upload)
         && upload.dim() == dim
         && upload_indices_ok(&upload, dim)
         && stats_frame.dim == dim
@@ -993,6 +885,12 @@ fn accept_upload(
                     },
                     expected: dim,
                 }
+            } else if payload.len() as u64 != offered_wire {
+                // The frames are complete, so the offer lied about them.
+                gluefl_wire::WireError::Truncated {
+                    needed: usize::try_from(offered_wire).unwrap_or(usize::MAX),
+                    got: payload.len(),
+                }
             } else {
                 gluefl_wire::WireError::UnexpectedKind(0)
             };
@@ -1009,19 +907,15 @@ fn accept_upload(
     gate.accept(strategy, id, upload, scratch).is_ok()
 }
 
-/// Whether the upload variant is the one the configured strategy's fold
-/// path accepts (anything else would panic inside the fold).
-fn upload_matches(strategy_cfg: &StrategyConfig, upload: &Upload) -> bool {
-    matches!(
-        (strategy_cfg, upload),
-        (
-            StrategyConfig::FedAvg | StrategyConfig::MdFedAvg,
-            Upload::Dense(_)
-        ) | (StrategyConfig::Stc { .. }, Upload::Sparse(_))
-            | (StrategyConfig::StcQuantized { .. }, Upload::Ternary(_))
-            | (StrategyConfig::Apf { .. }, Upload::KnownMask(_))
-            | (StrategyConfig::GlueFl(_), Upload::MaskSplit(_))
-    )
+/// Parses an `OFFER` payload — `analytic` then `wire` bytes, both `u64`
+/// little-endian. `None` when malformed or above [`MAX_OFFER_BYTES`].
+fn parse_offer(payload: &[u8]) -> Option<(u64, u64)> {
+    let field = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 B"));
+    if payload.len() != 16 {
+        return None;
+    }
+    let (analytic, wire) = (field(0), field(8));
+    (analytic <= MAX_OFFER_BYTES && wire <= MAX_OFFER_BYTES).then_some((analytic, wire))
 }
 
 /// Explicit-position index lists must be strictly increasing and within
@@ -1038,26 +932,5 @@ fn upload_indices_ok(upload: &Upload, dim: usize) -> bool {
         Upload::Sparse(u) => indices_ok(u.indices(), dim),
         Upload::Ternary(t) => indices_ok(&t.indices, dim),
         Upload::MaskSplit(s) => indices_ok(s.unique.indices(), dim),
-    }
-}
-
-/// Shared tail of the round loop: evaluate on schedule, exactly like the
-/// simulator.
-fn maybe_eval(
-    cfg: &SimConfig,
-    data: &SyntheticFlDataset,
-    model: &gluefl_ml::Mlp,
-    scratch: &mut ScratchPool,
-    round: u32,
-    rec: &mut RoundRecord,
-) {
-    let every = cfg.eval_every.max(1);
-    if (round + 1).is_multiple_of(every) || round + 1 == cfg.rounds {
-        let mut slot = scratch.take_train_slot();
-        let (tx, ty) = data.test_set();
-        let m = model.evaluate_into(tx, ty, &mut slot.scratch);
-        scratch.put_train_slot(slot);
-        rec.accuracy = Some(if cfg.use_top5 { m.top5 } else { m.top1 });
-        rec.loss = Some(m.loss);
     }
 }

@@ -9,8 +9,8 @@
 //!    must be an error (the grammar requires a complete stats frame).
 //! 2. **Socket adversaries**: a real server run where rogue clients
 //!    truncate mid-frame, flip checksummed bytes, slow-loris the
-//!    envelope, disconnect mid-upload, or send a mask frame as an
-//!    upload. The server must finish every round, the honest clients
+//!    envelope, disconnect mid-upload, send a mask frame as an upload,
+//!    or offer byte counts their upload does not match. The server must finish every round, the honest clients
 //!    must finish cleanly, and each rogue must show up as a skipped
 //!    upload or dead connection — never a panic or a stalled round.
 
@@ -183,6 +183,9 @@ enum Rogue {
     DisconnectMidUpload,
     /// Sends a wire *mask* frame where an upload belongs.
     MaskFrameAsUpload,
+    /// Offers these `(analytic, wire)` byte counts instead of the true
+    /// ones, then uploads honestly if granted.
+    LyingOffer { analytic: u64, wire: u64 },
 }
 
 fn raw_envelope(kind: MsgKind, round: u32, len: usize) -> [u8; ENVELOPE_BYTES] {
@@ -218,9 +221,16 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
         };
         match env.kind {
             MsgKind::Invite => {
-                let (analytic, wire) = node
+                let (mut analytic, mut wire) = node
                     .handle_invite(env.round, &payload)
                     .expect("rogue trains honestly");
+                if let Rogue::LyingOffer {
+                    analytic: lie_a,
+                    wire: lie_w,
+                } = mode
+                {
+                    (analytic, wire) = (lie_a, lie_w);
+                }
                 let mut offer = [0u8; 16];
                 offer[..8].copy_from_slice(&analytic.to_le_bytes());
                 offer[8..].copy_from_slice(&wire.to_le_bytes());
@@ -274,6 +284,9 @@ fn run_rogue(addr: &str, cfg: gluefl_core::SimConfig, id: usize, mode: Rogue) {
                             &BitMask::from_indices(64, [1usize, 5, 9]),
                         );
                         let _ = write_msg(&mut stream, MsgKind::Upload, env.round, &buf);
+                    }
+                    Rogue::LyingOffer { .. } => {
+                        let _ = write_msg(&mut stream, MsgKind::Upload, env.round, &upload_buf);
                     }
                 }
                 return;
@@ -452,6 +465,54 @@ fn slow_loris_counts_one_stall() {
         snap.value("gluefl_server_stalls_total", &[]),
         Some(1.0),
         "the mid-envelope stall must register exactly once"
+    );
+}
+
+/// Offers past twice the payload cap are protocol violations: the liar
+/// is killed at the offer, and its figure never reaches the round's byte
+/// sums (where `u64::MAX` next to an honest offer would overflow).
+#[test]
+fn oversized_offer_kills_the_client() {
+    let snap = run_single_rogue(
+        Rogue::LyingOffer {
+            analytic: u64::MAX,
+            wire: u64::MAX,
+        },
+        45,
+    );
+    assert_eq!(
+        snap.value("gluefl_server_clients_killed_total", &[]),
+        Some(1.0),
+        "the oversized offer must kill exactly its sender"
+    );
+}
+
+/// An understated `wire` offer wins keep-fastest, but the upload that
+/// follows is compared with it: the well-formed frames are rejected for
+/// their length, and the sender is killed.
+#[test]
+fn upload_longer_than_its_offer_is_rejected() {
+    let snap = run_single_rogue(
+        Rogue::LyingOffer {
+            analytic: 1,
+            wire: 0,
+        },
+        46,
+    );
+    let decode_errors: f64 = snap
+        .samples
+        .iter()
+        .filter(|s| s.name == "gluefl_server_decode_errors_total")
+        .map(|s| s.value)
+        .sum();
+    assert_eq!(
+        decode_errors, 1.0,
+        "the mismatched upload must be rejected exactly once"
+    );
+    assert_eq!(
+        snap.value("gluefl_server_clients_killed_total", &[]),
+        Some(1.0),
+        "the mismatched upload must kill its sender"
     );
 }
 

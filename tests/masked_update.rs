@@ -13,7 +13,7 @@ use gluefl_compress::{ApfConfig, CompensationMode};
 use gluefl_core::strategies::{
     ApfStrategy, FedAvgStrategy, GlueFlStrategy, StcStrategy, Strategy, Upload,
 };
-use gluefl_core::{GlueFlParams, ScratchPool};
+use gluefl_core::{ClientCodec, GlueFlParams, ScratchPool, StrategyConfig};
 use gluefl_sampling::overcommit::OcStrategy;
 use gluefl_suite::tensor::{vecops, BitMask};
 use rand::rngs::StdRng;
@@ -29,13 +29,22 @@ fn stats_excluded() -> BitMask {
     BitMask::from_indices(DIM, DIM - STATS..DIM)
 }
 
+/// The client codec matching a strategy built over this file's shape.
+fn codec_for(strategy: &StrategyConfig, weights: &[f64]) -> ClientCodec {
+    ClientCodec::new(strategy, K, weights, DIM - STATS, DIM, stats_excluded())
+}
+
 /// Drives `rounds` full strategy rounds with deterministic pseudo-random
 /// client deltas, maintaining two copies of the global parameters: one
 /// updated through the masked pipeline (`MaskedUpdate::add_to`), one
 /// through the dense reference (`to_dense` + `add_assign`). Both must
 /// stay bit-identical, and the masked changed-position scan must agree
 /// with a dense scan.
-fn assert_masked_apply_matches_dense_reference(mut strategy: Box<dyn Strategy>, seed: u64) {
+fn assert_masked_apply_matches_dense_reference(
+    mut strategy: Box<dyn Strategy>,
+    mut codec: ClientCodec,
+    seed: u64,
+) {
     let name = strategy.name();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut pool = ScratchPool::new();
@@ -60,7 +69,8 @@ fn assert_masked_apply_matches_dense_reference(mut strategy: Box<dyn Strategy>, 
                     }
                 })
                 .collect();
-            let upload = strategy.compress(round, id, group, &mut delta, &mut pool);
+            let mask = strategy.round_mask(round);
+            let upload = codec.compress(round, id, group, &mut delta, mask, &mut pool);
             kept.push((id, group, upload));
         }
         kept.sort_by_key(|(id, _, _)| *id);
@@ -112,8 +122,9 @@ fn assert_masked_apply_matches_dense_reference(mut strategy: Box<dyn Strategy>, 
 #[test]
 fn fedavg_masked_pipeline_is_bit_identical_to_dense_apply() {
     let weights = vec![1.0 / N as f64; N];
+    let codec = codec_for(&StrategyConfig::FedAvg, &weights);
     let s = Box::new(FedAvgStrategy::new(N, K, 1.0, weights, DIM));
-    assert_masked_apply_matches_dense_reference(s, 11);
+    assert_masked_apply_matches_dense_reference(s, codec, 11);
 }
 
 #[test]
@@ -131,13 +142,15 @@ fn apf_masked_pipeline_is_bit_identical_to_dense_apply() {
         max_period: 8,
         warmup_rounds: 3,
     };
+    let codec = codec_for(&StrategyConfig::Apf { config }, &weights);
     let s = Box::new(ApfStrategy::new(N, K, 1.0, weights, config, DIM));
-    assert_masked_apply_matches_dense_reference(s, 44);
+    assert_masked_apply_matches_dense_reference(s, codec, 44);
 }
 
 #[test]
 fn stc_masked_pipeline_is_bit_identical_to_dense_apply() {
     let weights = vec![1.0 / N as f64; N];
+    let codec = codec_for(&StrategyConfig::Stc { q: 0.25 }, &weights);
     let s = Box::new(StcStrategy::new(
         N,
         K,
@@ -148,7 +161,7 @@ fn stc_masked_pipeline_is_bit_identical_to_dense_apply() {
         DIM,
         stats_excluded(),
     ));
-    assert_masked_apply_matches_dense_reference(s, 22);
+    assert_masked_apply_matches_dense_reference(s, codec, 22);
 }
 
 #[test]
@@ -165,6 +178,7 @@ fn gluefl_masked_pipeline_is_bit_identical_to_dense_apply() {
         equal_weights: false,
     };
     let weights = vec![1.0 / N as f64; N];
+    let codec = codec_for(&StrategyConfig::GlueFl(params.clone()), &weights);
     let mut init_rng = StdRng::seed_from_u64(7);
     let s = Box::new(GlueFlStrategy::new(
         N,
@@ -178,5 +192,5 @@ fn gluefl_masked_pipeline_is_bit_identical_to_dense_apply() {
         stats_excluded(),
         &mut init_rng,
     ));
-    assert_masked_apply_matches_dense_reference(s, 33);
+    assert_masked_apply_matches_dense_reference(s, codec, 33);
 }

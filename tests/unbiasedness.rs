@@ -4,7 +4,7 @@
 
 use gluefl_compress::CompensationMode;
 use gluefl_core::strategies::{GlueFlStrategy, Strategy};
-use gluefl_core::{GlueFlParams, ScratchPool};
+use gluefl_core::{ClientCodec, GlueFlParams, ScratchPool, StrategyConfig};
 use gluefl_sampling::overcommit::OcStrategy;
 use gluefl_suite::tensor::BitMask;
 use rand::rngs::StdRng;
@@ -33,6 +33,8 @@ fn gluefl_aggregate_is_unbiased_monte_carlo() {
     let weights: Vec<f64> = raw.iter().map(|w| w / total).collect();
 
     let mut rng = StdRng::seed_from_u64(99);
+    let gluefl = StrategyConfig::GlueFl(params.clone());
+    let mut codec = ClientCodec::new(&gluefl, k, &weights, n, n, BitMask::zeros(n));
     let mut strategy = GlueFlStrategy::new(
         n,
         k,
@@ -55,7 +57,8 @@ fn gluefl_aggregate_is_unbiased_monte_carlo() {
         for (id, group) in plan.invited() {
             let mut delta = vec![0.0f32; n];
             delta[id] = 1.0;
-            let upload = strategy.compress(round, id, group, &mut delta, &mut pool);
+            let mask = strategy.round_mask(round);
+            let upload = codec.compress(round, id, group, &mut delta, mask, &mut pool);
             kept.push((id, group, upload));
         }
         let agg = strategy.aggregate(round, &kept, &mut pool);
@@ -91,6 +94,8 @@ fn equal_weights_are_biased_toward_sticky_clients() {
     let weights = vec![1.0 / n as f64; n];
     let mut pool = ScratchPool::new();
     let mut rng = StdRng::seed_from_u64(5);
+    let gluefl = StrategyConfig::GlueFl(params.clone());
+    let mut codec = ClientCodec::new(&gluefl, k, &weights, n, n, BitMask::zeros(n));
     let mut strategy = GlueFlStrategy::new(
         n,
         k,
@@ -114,7 +119,8 @@ fn equal_weights_are_biased_toward_sticky_clients() {
         for (id, group) in plan.invited() {
             let mut delta = vec![0.0f32; n];
             delta[id] = 1.0;
-            let upload = strategy.compress(round, id, group, &mut delta, &mut pool);
+            let mask = strategy.round_mask(round);
+            let upload = codec.compress(round, id, group, &mut delta, mask, &mut pool);
             kept.push((id, group, upload));
         }
         let agg = strategy.aggregate(round, &kept, &mut pool);
